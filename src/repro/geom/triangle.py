@@ -44,7 +44,9 @@ class ScreenTriangle:
         z: three window-space depths in [0, 1] (0 = near plane).
         attributes: the three vertices' interpolatable attributes.
         command_id: index of the draw command that produced the triangle.
-        primitive_id: index of the triangle within the frame.
+        primitive_id: index of the triangle among its draw command's
+            primitives that survived clipping and culling (not a
+            frame-wide index: every command counts from 0).
         state: the owning command's render state (travels with the
             primitive through the Parameter Buffer, as in hardware).
         signature_bytes: the canonical attribute encoding fed to the

@@ -13,7 +13,7 @@ baseline pipeline simply never uses the second list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 from ..geom import ScreenTriangle
 
@@ -21,9 +21,11 @@ POINTER_BYTES = 4
 LAYER_ID_BYTES = 2
 
 
-@dataclass(frozen=True)
-class DisplayListEntry:
+class DisplayListEntry(NamedTuple):
     """One Display List record: a primitive pointer plus EVR metadata.
+
+    Binning creates one per (primitive, tile) pair, so the record is a
+    named tuple: immutable like the hardware entry, and cheap to build.
 
     Attributes:
         primitive: the referenced primitive (stands in for dereferencing

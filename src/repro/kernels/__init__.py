@@ -18,6 +18,10 @@ behind this seam.  Two backends implement the contract declared in
     expressions.  Bit-identical to the reference by construction and by
     test, an order of magnitude faster — the default.
 
+The same name also selects the geometry path
+(:mod:`repro.pipeline.geometry`: scalar reference or structure-of-arrays)
+and the memory-system model (:func:`repro.memsys.create_memory_system`).
+
 Because backends are proven bit-identical, the selected backend is
 execution policy: it lives in ``RunSpec.scheduler`` (excluded from
 ``spec_hash()``), so disk-cache entries are shared across backends.

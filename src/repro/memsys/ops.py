@@ -20,7 +20,8 @@ the "never larger than the raw tuples" property.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from itertools import repeat
+from typing import Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -176,6 +177,18 @@ class MemOps(list):
 
     def __reduce__(self):
         return (_unpack_memory_ops, _pack_memory_ops(self))
+
+
+def parameter_buffer_writes(
+    offsets: Iterable[int], sizes: Iterable[int]
+) -> List[PBWriteOp]:
+    """One :class:`PBWriteOp` per ``(offset, size)`` pair, in order.
+
+    The bulk constructor of the geometry pipeline's write stream: it
+    builds the tuples directly, as ``PBWriteOp._make`` does, without a
+    Python-level call per op.
+    """
+    return list(map(tuple.__new__, repeat(PBWriteOp), zip(offsets, sizes)))
 
 
 def replay_memory_trace(ops, memory) -> None:
