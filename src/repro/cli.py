@@ -56,14 +56,15 @@ graceful degradation: the sweep completes with failed cells rendered as
 
 Observability (see :mod:`repro.obs`): every subcommand takes ``-v`` /
 ``--verbose`` and ``-q`` / ``--quiet`` *after* the subcommand name;
-``run``, ``figure``, ``report`` and ``profile`` additionally take
-``--trace out.json`` (Chrome/Perfetto trace-event JSON) and ``--metrics
-out.jsonl`` (or ``.csv``) to export what was measured.  ``--live``
-renders per-benchmark progress (fragments/s, cache-ops/s) to the
-terminal and ``--events out.jsonl`` streams the structured event bus to
-a crash-durable JSONL log; both ride the same bus, fed from workers over
-the result channel.  No observability flag changes any simulated result
-— a run with subscribers attached is bit-identical to a bare run.
+``run``, ``figure``, ``report``, ``profile`` and ``corpus`` additionally
+take ``--trace out.json`` (Chrome/Perfetto trace-event JSON),
+``--metrics out.jsonl`` (or ``.csv``), ``--live`` (per-benchmark
+progress, fragments/s, cache-ops/s on the terminal) and ``--events
+out.jsonl`` (the event stream as a crash-durable JSONL log).  Any of
+them installs one event bus for the command, fed from workers over the
+result channel, and each requested sink subscribes to it.  No
+observability flag changes any simulated result — a run with
+subscribers attached is bit-identical to a bare run.
 Metrics exports lead with a ``spec`` record carrying the resolved spec
 and its hash for provenance.
 
@@ -84,7 +85,7 @@ import json
 import os
 import sys
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from . import __version__
@@ -145,16 +146,14 @@ from .obs import (
     PhaseAccumulator,
     RunLedger,
     SchedulerProfiler,
-    TracerSubscriber,
     global_registry,
     publishing,
+    run_span,
     setup_logging,
-    tracing,
     write_csv_records,
     write_jsonl,
 )
 from .obs.dashboard import write_dashboard
-from .obs.events import RunFinished, RunStarted, get_bus
 from .obs.ledger import (
     DEFAULT_RATE_TOLERANCE,
     DEFAULT_RATIO_TOLERANCE,
@@ -170,6 +169,7 @@ from .resilience import ResilientScheduler
 from .scenes import BENCHMARKS, benchmark_stream
 from .spec import (
     PRESETS,
+    ObsSpec,
     ResolvedSpec,
     RunSpec,
     flatten_spec,
@@ -400,75 +400,62 @@ def _report_failures(runner: SuiteRunner, out: Output,
     return 1 if strict else 0
 
 
-@contextmanager
-def _command_tracer(trace_path: str,
-                    out: Output) -> Iterator[Optional[ChromeTracer]]:
-    """Install a :class:`ChromeTracer` for the command when ``--trace``
-    (or ``obs.trace``) was given (yields None otherwise).
-
-    Flush-on-crash: the file is written in a ``finally`` (an exception
-    propagating through the command still leaves the partial trace on
-    disk as valid JSON), and ``arm_flush`` registers an ``atexit``
-    backstop for exits that skip the unwind entirely."""
-    if not trace_path:
-        yield None
-        return
-    tracer = ChromeTracer()
-    tracer.arm_flush(trace_path)
-    try:
-        with tracing(tracer):
-            yield tracer
-    finally:
-        tracer.disarm_flush()
-        tracer.write(trace_path)
-        out.info(f"trace ({len(tracer.events)} events) -> {trace_path}")
-
-
-class _BusSession:
-    """What a command gets back from :func:`_command_bus`: the live bus
-    (None when no subscriber was requested) and the phase accumulator
-    that fills the ledger's per-cell ``phases`` column."""
+class _Session:
+    """What a command gets back from :func:`_observe`: the phase
+    accumulator that fills the ledger's per-cell ``phases`` column, and
+    the tracer and profiler when they were requested."""
 
     def __init__(self) -> None:
-        self.bus: Optional[EventBus] = None
         self.accumulator = PhaseAccumulator()
+        self.tracer: Optional[ChromeTracer] = None
+        self.profiler: Optional[SchedulerProfiler] = None
 
     def phases_for(self, benchmark: str, mode: str) -> Dict[str, float]:
         return self.accumulator.for_cell(benchmark, mode)
 
 
 @contextmanager
-def _command_bus(events_path: str, live: bool, out: Output,
-                 tracer: Optional[ChromeTracer] = None,
-                 ) -> Iterator[_BusSession]:
-    """Install the event bus with the requested subscribers for the
-    command's duration (``--events`` JSONL writer, ``--live`` renderer,
-    tracer and metrics-registry consumers, the ledger's phase
-    accumulator).  Without ``--events``/``--live`` the NULL_BUS stays
-    installed and instrumented call sites pay one attribute check.
+def _observe(obs: ObsSpec, out: Output,
+             profile: bool = False) -> Iterator[_Session]:
+    """The command's one observability session.
 
-    The JSONL writer flushes per event and is additionally registered
-    with ``atexit`` while open, so a crashed or killed run leaves a
-    valid prefix of the stream on disk (flush-on-crash)."""
-    session = _BusSession()
-    if not (events_path or live):
+    Whenever ``--trace``, ``--events``, ``--live`` or ``--metrics`` is
+    given (or ``profile`` asks for a tracer and a scheduler profiler),
+    one :class:`EventBus` is installed for the command and each
+    requested sink subscribes to it: the Chrome tracer, the JSONL event
+    writer, the live renderer, the metrics registry, and always the
+    ledger's phase accumulator.  Otherwise the NULL_BUS stays installed
+    and every instrumented call site is a no-op.
+
+    Flush-on-crash: the JSONL writer flushes per event and the trace is
+    written in a ``finally``, so an exception propagating through the
+    command still leaves valid files; both also register ``atexit``
+    backstops for exits that skip the unwind entirely."""
+    session = _Session()
+    if not (obs.wants_bus() or profile):
         yield session
         return
     bus = EventBus()
-    session.bus = bus
     bus.subscribe(session.accumulator)
+    if obs.trace or profile:
+        session.tracer = ChromeTracer()
+        bus.subscribe(session.tracer)
+    if obs.trace:
+        session.tracer.arm_flush(obs.trace)
+    if profile:
+        session.profiler = SchedulerProfiler()
+        bus.subscribe(session.profiler)
     writer: Optional[JsonlEventWriter] = None
     renderer: Optional[LiveRenderer] = None
-    if events_path:
-        writer = JsonlEventWriter(events_path)
+    if obs.events:
+        writer = JsonlEventWriter(obs.events)
         atexit.register(writer.close)
         bus.subscribe(writer)
-    if live:
+    if obs.live:
         renderer = LiveRenderer()
         bus.subscribe(renderer)
-    if tracer is not None:
-        bus.subscribe(TracerSubscriber(tracer))
-    bus.subscribe(MetricsSubscriber(global_registry()))
+    if obs.metrics:
+        bus.subscribe(MetricsSubscriber(global_registry()))
     try:
         with publishing(bus):
             yield session
@@ -478,11 +465,16 @@ def _command_bus(events_path: str, live: bool, out: Output,
         if writer is not None:
             writer.close()
             atexit.unregister(writer.close)
-            out.info(f"events ({writer.written} events) -> {events_path}")
+            out.info(f"events ({writer.written} events) -> {obs.events}")
+        if obs.trace:
+            session.tracer.disarm_flush()
+            session.tracer.write(obs.trace)
+            out.info(f"trace ({len(session.tracer.events)} events) -> "
+                     f"{obs.trace}")
 
 
 def _ledger_record_suite(spec: RunSpec, runner: SuiteRunner,
-                         session: _BusSession, out: Output,
+                         session: _Session, out: Output,
                          source: str) -> None:
     """Append every settled (benchmark, mode) cell of a suite sweep to
     the run ledger (failed cells are skipped by ``record_run``)."""
@@ -565,8 +557,7 @@ def _command_run(args: argparse.Namespace) -> int:
     # distilled metrics are keyed by the spec's content hash, so a second
     # identical invocation skips simulation entirely.  Exports (and live
     # telemetry) need the full per-frame results, so they always simulate.
-    exporting = bool(args.csv or spec.obs.trace or spec.obs.metrics
-                     or spec.obs.wants_bus())
+    exporting = bool(args.csv or spec.obs.wants_bus())
     disk = (DiskCache(default_cache_dir())
             if args.spec and not exporting else None)
     ledger = RunLedger(spec.obs.ledger)
@@ -574,12 +565,8 @@ def _command_run(args: argparse.Namespace) -> int:
     cache_hits = 0
     cache_misses = 0
     tables: List[str] = []
-    with ExitStack() as stack:
-        tracer = stack.enter_context(_command_tracer(spec.obs.trace, out))
-        session = stack.enter_context(
-            _command_bus(spec.obs.events, spec.obs.live, out, tracer))
-        profiler = SchedulerProfiler(tracer) if tracer is not None else None
-        scheduler = make_scheduler(spec.scheduler.jobs, profiler=profiler)
+    with _observe(spec.obs, out) as session:
+        scheduler = make_scheduler(spec.scheduler.jobs)
         if policy is not None:
             # Tile-level resilience: per-frame tile jobs are retried
             # (and, under a pool, timed out) individually.
@@ -606,23 +593,11 @@ def _command_run(args: argparse.Namespace) -> int:
                             stream = benchmark_stream(benchmark, config)
                         out.detail(f"simulating {benchmark}:{mode.value} "
                                    f"({config.frames} frames, {scheduler!r})")
-                        bus = get_bus()
-                        started = time.perf_counter()
-                        if bus.enabled:
-                            bus.emit(RunStarted(benchmark=benchmark,
-                                                mode=mode.value,
-                                                frames=config.frames))
-                        result = GPU.from_spec(
-                            spec, mode, scheduler=scheduler
-                        ).render_stream(stream)
-                        if bus.enabled:
-                            bus.emit(RunFinished(
-                                benchmark=benchmark, mode=mode.value,
-                                seconds=time.perf_counter() - started,
-                                frames=len(result.frames),
-                                fragments=(result.total_stats()
-                                           .fragments_shaded),
-                            ))
+                        with run_span(benchmark, mode.value,
+                                      config.frames):
+                            result = GPU.from_spec(
+                                spec, mode, scheduler=scheduler
+                            ).render_stream(stream)
                         if args.csv:
                             path = (f"{args.csv.rstrip('.csv')}"
                                     f"_{mode.value}.csv")
@@ -686,14 +661,9 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_figure(args: argparse.Namespace) -> int:
     resolved, spec, out = _resolve(args)
     global_registry().reset()
-    with ExitStack() as stack:
-        tracer = stack.enter_context(_command_tracer(spec.obs.trace, out))
-        session = stack.enter_context(
-            _command_bus(spec.obs.events, spec.obs.live, out, tracer))
-        profiler = SchedulerProfiler(tracer) if tracer is not None else None
+    with _observe(spec.obs, out) as session:
         with SuiteRunner(spec=spec,
                          cache_dir=default_cache_dir(),
-                         profiler=profiler,
                          journal_dir=default_cache_dir()) as runner:
             subset = list(spec.workload.benchmarks) or None
             result = _FIGURES[args.figure](runner, subset)
@@ -732,14 +702,9 @@ def _command_render(args: argparse.Namespace) -> int:
 def _command_report(args: argparse.Namespace) -> int:
     resolved, spec, out = _resolve(args)
     global_registry().reset()
-    with ExitStack() as stack:
-        tracer = stack.enter_context(_command_tracer(spec.obs.trace, out))
-        session = stack.enter_context(
-            _command_bus(spec.obs.events, spec.obs.live, out, tracer))
-        profiler = SchedulerProfiler(tracer) if tracer is not None else None
+    with _observe(spec.obs, out) as session:
         with SuiteRunner(spec=spec,
                          cache_dir=default_cache_dir(),
-                         profiler=profiler,
                          journal_dir=default_cache_dir()) as runner:
             report = render_report(runner)
             summary = runner.cache_summary()
@@ -766,17 +731,13 @@ def _command_profile(args: argparse.Namespace) -> int:
     config = spec.gpu
     mode = get_technique(args.mode)
     global_registry().reset()
-    tracer = ChromeTracer()
-    profiler = SchedulerProfiler(tracer)
-    with tracing(tracer), _command_bus(spec.obs.events, spec.obs.live,
-                                       out, tracer):
-        with make_scheduler(spec.scheduler.jobs,
-                            profiler=profiler) as scheduler:
-            with tracer.span(f"run {args.benchmark}:{mode.value}",
-                             category="harness"):
+    with _observe(spec.obs, out, profile=True) as session:
+        with make_scheduler(spec.scheduler.jobs) as scheduler:
+            with run_span(args.benchmark, mode.value, config.frames):
                 stream = benchmark_stream(args.benchmark, config)
                 GPU.from_spec(spec, mode,
                               scheduler=scheduler).render_stream(stream)
+    tracer, profiler = session.tracer, session.profiler
 
     phase_rows = [
         [row["span"], row["count"], row["total_ms"], row["mean_ms"]]
@@ -807,9 +768,6 @@ def _command_profile(args: argparse.Namespace) -> int:
         ["worker", "jobs", "busy ms", "occupancy"], worker_rows,
         title="worker occupancy",
     ))
-    if spec.obs.trace:
-        tracer.write(spec.obs.trace)
-        out.info(f"trace ({len(tracer.events)} events) -> {spec.obs.trace}")
     if spec.obs.metrics:
         _write_metrics(
             [spec_record(spec),
@@ -867,7 +825,7 @@ def _command_bench(args: argparse.Namespace) -> int:
                 for name in names if name in entry.get("speedup", {}))
             out.result(f"{_entry_stamp(entry)}  {ratios or '-'}")
         return 0
-    with _command_bus(args.events or "", args.live, out):
+    with _observe(ObsSpec(events=args.events or "", live=args.live), out):
         record = run_bench(args.preset, backends=args.backends,
                            repeat=args.repeat)
     path = args.output or f"BENCH_{args.preset}.json"
@@ -1120,9 +1078,7 @@ def _command_corpus(args: argparse.Namespace) -> int:
                f"backends {', '.join(backends)}"
                + (f", faults {plan.describe()}" if plan is not None else ""))
     global_registry().reset()
-    with ExitStack() as stack:
-        stack.enter_context(
-            _command_bus(spec.obs.events, spec.obs.live, out))
+    with _observe(spec.obs, out):
         results = replay_families(
             streams, config,
             backends=backends,

@@ -1,5 +1,5 @@
-"""The execution engine: stateless tile jobs, pluggable schedulers and a
-unified instrumentation bus.
+"""The execution engine: stateless tile jobs, pluggable schedulers,
+mergeable instrumentation records and the run cache.
 
 Every outer loop of the simulator goes through this layer:
 

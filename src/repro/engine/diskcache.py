@@ -20,8 +20,8 @@ key is logged through :mod:`repro.obs.log`.
 Cache traffic is observable: ``get``/``put`` increment the
 ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` / ``cache.puts``
 / ``cache.quarantined`` counters in the process-wide metrics registry
-and emit spans into the process-wide tracer (no-ops unless
-``--trace``/``--metrics`` enabled them).
+and publish spans on the event bus (no-ops unless an observability flag
+installed one).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ import zlib
 from typing import Any, Optional, Tuple
 
 from ..errors import CacheCorruptionError
+from ..obs.events import span
 from ..obs.log import get_logger
 from ..obs.metrics import global_registry
-from ..obs.trace import get_tracer
 
 logger = get_logger("engine.diskcache")
 
@@ -179,7 +179,7 @@ class DiskCache:
         """The stored value, or None on miss *or* unreadable entry."""
         path = self.path_for(key)
         counters = global_registry()
-        with get_tracer().span("cache.get", category="cache", key=key[:12]):
+        with span("cache.get", "cache", key=key[:12]):
             try:
                 with open(path, "rb") as handle:
                     blob = handle.read()
@@ -212,7 +212,7 @@ class DiskCache:
         fd, tmp_path = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp_", suffix=".pkl"
         )
-        with get_tracer().span("cache.put", category="cache", key=key[:12]):
+        with span("cache.put", "cache", key=key[:12]):
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(_encode_entry(
@@ -233,20 +233,19 @@ class DiskCache:
         registry.counter("cache.evictions").inc()
         quarantine = self.quarantine_dir()
         destination = os.path.join(quarantine, os.path.basename(path))
-        try:
-            os.makedirs(quarantine, exist_ok=True)
-            os.replace(path, destination)
-        except OSError:
-            # Quarantine itself failed (permissions, cross-device...):
-            # fall back to unlinking so the bad entry cannot wedge us.
-            destination = "<removed>"
+        with span("cache.quarantine", "cache", key=key[:12], reason=reason):
             try:
-                os.remove(path)
+                os.makedirs(quarantine, exist_ok=True)
+                os.replace(path, destination)
             except OSError:
-                pass
+                # Quarantine itself failed (permissions, cross-device...):
+                # fall back to unlinking so the bad entry cannot wedge us.
+                destination = "<removed>"
+                try:
+                    os.remove(path)
+                except OSError:
+                    pass
         registry.counter("cache.quarantined").inc()
-        get_tracer().instant("cache.quarantine", category="cache",
-                             key=key[:12], reason=reason)
         logger.warning("cache entry %s corrupt (%s); quarantined to %s",
                        key[:12], reason, destination)
         # Keep quarantine bounded: every new arrival re-applies the cap

@@ -14,28 +14,26 @@ order.  Two implementations:
 Both are used through :func:`make_scheduler`, which turns a ``--jobs N``
 style request into the right implementation.
 
-Either scheduler accepts an optional
-:class:`~repro.obs.profile.SchedulerProfiler` (the ``profiler``
-attribute, or the ``profiler`` argument of :func:`make_scheduler`).  When
-attached, every mapped call is wrapped so the executing process measures
-its own wall time; the profiler unwraps the results on the way back.  The
-wrapper passes results through untouched — profiled and unprofiled runs
-are bit-identical, only observability output differs.
+``map`` takes an optional ``on_result(index, value)`` callback, invoked
+in submission order as each result arrives (on the serial path, before
+the next item runs), so callers can checkpoint work item by item.
 
-The pool scheduler applies the same pattern to the structured event bus
-(:mod:`repro.obs.events`): when a bus is installed, mapped calls are
-wrapped in :class:`~repro.obs.events.EventForwardingCall` so events a
-job emits inside a worker ride the result channel home and are re-emitted
-on the parent's bus, in submission order, before results are returned.
+With an event bus installed (:mod:`repro.obs.events`), both schedulers
+run every mapped call inside :class:`~repro.obs.events.EventForwardingCall`
+— the job's span opens where the job runs, and events a job emits inside
+a pool worker ride the result channel home and are re-emitted on the
+parent's bus, in submission order — and publish one ``map`` span around
+the call.  The map span and its job spans share a ``map`` id arg.  The
+wrapper passes results through untouched, so observed and bare runs are
+bit-identical; with the null bus nothing is wrapped.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import (
-    TYPE_CHECKING,
+    Any,
     Callable,
     Iterable,
     List,
@@ -45,13 +43,19 @@ from typing import (
     TypeVar,
 )
 
-from ..obs.events import EventForwardingCall, get_bus, replay_forwarded
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.profile import SchedulerProfiler
+from ..obs.events import (
+    EventForwardingCall,
+    get_bus,
+    next_map_id,
+    replay_forwarded,
+    span,
+)
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+#: ``on_result(index, value)``: called as each mapped result arrives.
+OnResult = Optional[Callable[[int, Any], None]]
 
 
 class Scheduler(Protocol):
@@ -62,8 +66,10 @@ class Scheduler(Protocol):
     does not need that property, but callers must not rely on it).
     """
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` to every item; results in submission order."""
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
+        """Apply ``fn`` to every item; results in submission order, each
+        also handed to ``on_result`` as it arrives."""
         ...  # pragma: no cover - protocol
 
     def close(self) -> None:
@@ -71,22 +77,44 @@ class Scheduler(Protocol):
         ...  # pragma: no cover - protocol
 
 
+def _settled(values: Iterable[R], on_result: OnResult) -> List[R]:
+    """Drain ``values`` into a list, calling ``on_result`` per item."""
+    if on_result is None:
+        return list(values)
+    results: List[R] = []
+    for index, value in enumerate(values):
+        results.append(value)
+        on_result(index, value)
+    return results
+
+
+def _observed_map(run: Callable[[Callable, Sequence], Iterable],
+                  fn: Callable[[T], R], items: Sequence[T],
+                  on_result: OnResult) -> List[R]:
+    """``run(fn, items)``, observed when a bus is installed: each call
+    wrapped in :class:`EventForwardingCall`, the whole under one ``map``
+    span, forwarded events replayed as results arrive."""
+    bus = get_bus()
+    if not bus.enabled:
+        return _settled(run(fn, items), on_result)
+    map_id = next_map_id()
+    with span("map", "scheduler", jobs=len(items), map=map_id):
+        return _settled(
+            (replay_forwarded(value, bus)
+             for value in run(EventForwardingCall(fn, map_id=map_id),
+                              items)),
+            on_result,
+        )
+
+
 class SerialScheduler:
     """Run everything inline, in order — the default execution strategy."""
 
     jobs = 1
 
-    def __init__(self, profiler: Optional["SchedulerProfiler"] = None):
-        self.profiler = profiler
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        profiler = self.profiler
-        if profiler is None:
-            return [fn(item) for item in items]
-        submit = time.perf_counter()
-        timed_fn = profiler.wrap(fn)
-        return profiler.collect(submit, items,
-                                [timed_fn(item) for item in items])
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
+        return _observed_map(map, fn, items, on_result)
 
     def close(self) -> None:
         pass
@@ -111,13 +139,11 @@ class ProcessPoolScheduler:
     frame's tile jobs are small.
     """
 
-    def __init__(self, jobs: int, mp_context: Optional[str] = None,
-                 profiler: Optional["SchedulerProfiler"] = None):
+    def __init__(self, jobs: int, mp_context: Optional[str] = None):
         if jobs < 2:
             raise ValueError("ProcessPoolScheduler needs jobs >= 2; "
                              "use SerialScheduler for jobs=1")
         self.jobs = jobs
-        self.profiler = profiler
         self._mp_context = mp_context
         self._executor: Optional[ProcessPoolExecutor] = None
 
@@ -136,29 +162,20 @@ class ProcessPoolScheduler:
             )
         return self._executor
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def map(self, fn: Callable[[T], R], items: Sequence[T],
+            on_result: OnResult = None) -> List[R]:
         items = list(items)
         if not items:
             return []
-        profiler = self.profiler
-        if profiler is not None:
-            submit = time.perf_counter()
-            timed = self._map(profiler.wrap(fn), items)
-            return profiler.collect(submit, items, timed)
-        return self._map(fn, items)
+        return _observed_map(self._map, fn, items, on_result)
 
-    def _map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def _map(self, fn: Callable[[T], R], items: Sequence[T]) -> Iterable[R]:
         if len(items) == 1:
             # One item gains nothing from a round-trip through the pool.
             return [fn(items[0])]
         executor = self._ensure_executor()
         chunksize = max(1, len(items) // (self.jobs * 4))
-        bus = get_bus()
-        if bus.enabled:
-            forwarding = EventForwardingCall(fn)
-            results = executor.map(forwarding, items, chunksize=chunksize)
-            return [replay_forwarded(value, bus) for value in results]
-        return list(executor.map(fn, items, chunksize=chunksize))
+        return executor.map(fn, items, chunksize=chunksize)
 
     def close(self) -> None:
         """Shut the executor down gracefully (idempotent).
@@ -220,18 +237,14 @@ class ProcessPoolScheduler:
         return f"ProcessPoolScheduler(jobs={self.jobs})"
 
 
-def make_scheduler(
-    jobs: Optional[int],
-    profiler: Optional["SchedulerProfiler"] = None,
-) -> "Scheduler":
+def make_scheduler(jobs: Optional[int]) -> "Scheduler":
     """Turn a ``--jobs N`` request into a scheduler.
 
     ``None``, 0 and 1 mean serial; ``N >= 2`` means a process pool with N
-    workers; negative N means one worker per CPU.  ``profiler``
-    optionally attaches a :class:`~repro.obs.profile.SchedulerProfiler`.
+    workers; negative N means one worker per CPU.
     """
     if jobs is not None and jobs < 0:
         jobs = os.cpu_count() or 1
     if not jobs or jobs == 1:
-        return SerialScheduler(profiler=profiler)
-    return ProcessPoolScheduler(jobs, profiler=profiler)
+        return SerialScheduler()
+    return ProcessPoolScheduler(jobs)

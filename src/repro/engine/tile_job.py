@@ -25,8 +25,6 @@ contract, so the choice is execution policy, not part of the result.
 from __future__ import annotations
 
 import copy
-import os
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -38,7 +36,6 @@ from ..hw.buffers import ColorBuffer, LayerBuffer, ZBuffer
 from ..hw.parameter_buffer import POINTER_BYTES, DisplayListEntry
 from ..kernels import DEFAULT_BACKEND, resolve_backend
 from ..kernels.tile_geometry import tile_origin, valid_mask
-from ..obs.events import TileJobFinished, get_bus
 from ..pipeline.features import PipelineFeatures
 from ..timing.stats import FrameStats
 
@@ -529,29 +526,11 @@ _CONTEXT_CACHE: dict = {}
 
 
 def execute_tile_job(job: TileJob) -> TileResult:
-    """Module-level job entry point (picklable for process pools).
-
-    When an event bus is installed in the executing process — the live
-    bus in-process, a forwarding buffer in a pool worker — each job
-    emits a :class:`~repro.obs.events.TileJobFinished` with its own
-    measured wall time and pid: the dashboard's worker-occupancy data.
-    """
+    """Module-level job entry point (picklable for process pools)."""
     key = (job.config.tile_width, job.config.tile_height,
            job.config.clear_depth, job.config.clear_color)
     context = _CONTEXT_CACHE.get(key)
     if context is None:
         context = TileContext.for_config(job.config)
         _CONTEXT_CACHE[key] = context
-    bus = get_bus()
-    if not bus.enabled:
-        return job.run(context)
-    start = time.perf_counter()
-    result = job.run(context)
-    bus.emit(TileJobFinished(
-        tile=job.tile,
-        fragments=result.stats.fragments_shaded,
-        worker=os.getpid(),
-        start=start,
-        end=time.perf_counter(),
-    ))
-    return result
+    return job.run(context)

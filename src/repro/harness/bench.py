@@ -3,8 +3,8 @@
 Measures two things per kernel backend, on a preset workload:
 
 1. **End-to-end pipeline throughput** — a full :meth:`GPU.render_stream`
-   run under the paper's EVR configuration, with the observability
-   tracer attached: frames/sec, simulated cache operations/sec and the
+   run under the paper's EVR configuration, with a Chrome tracer
+   subscribed to the event bus: frames/sec, simulated cache operations/sec and the
    per-phase wall-time breakdown (geometry/raster/schedule/execute/
    reduce spans).  This number is dominated by the memory-system
    *simulation* (an inherently sequential cache model), so backends
@@ -57,9 +57,9 @@ from ..memsys.ops import (
     VertexRangeOp,
     replay_memory_trace,
 )
-from ..obs.events import MetricSample, get_bus
+from ..obs.events import MetricSample, get_bus, subscribed
 from ..obs.profile import phase_breakdown
-from ..obs.trace import ChromeTracer, tracing
+from ..obs.trace import ChromeTracer
 from ..pipeline import GPU
 from ..scenes import benchmark_stream, scaled_world_stream
 
@@ -124,9 +124,9 @@ class _CaptureScheduler(SerialScheduler):
         super().__init__()
         self.jobs: List[TileJob] = []
 
-    def map(self, fn, items):
+    def map(self, fn, items, on_result=None):
         self.jobs.extend(items)
-        return super().map(fn, items)
+        return super().map(fn, items, on_result)
 
 
 class _TraceRecorder(MemorySystem):
@@ -234,7 +234,7 @@ def _pipeline_measurement(preset: BenchPreset, backend: str,
               memory_system=recorder)
     tracer = ChromeTracer()
     start = time.perf_counter()
-    with tracing(tracer):
+    with subscribed(tracer):
         result = gpu.render_stream(preset.stream())
     elapsed = time.perf_counter() - start
     stats = result.total_stats(warmup=0)

@@ -28,7 +28,6 @@ placeholders instead of aborting the sweep.
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,9 +35,7 @@ from ..config import GPUConfig
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
 from ..errors import ConfigError
-from ..obs.events import MetricSample, RunFinished, RunStarted, get_bus
-from ..obs.profile import SchedulerProfiler
-from ..obs.trace import get_tracer
+from ..obs.events import MetricSample, get_bus, run_span, span
 from ..pipeline import GPU, RunResult
 from ..resilience import (
     FaultPlan,
@@ -174,28 +171,12 @@ def run_benchmark(
     if spec is None:
         spec = RunSpec.from_config(config or GPUConfig.default())
     config = config or spec.gpu
-    bus = get_bus()
-    started = time.perf_counter()
-    if bus.enabled:
-        bus.emit(RunStarted(
-            benchmark=benchmark, mode=mode.value,
-            frames=frames if frames is not None
-            else getattr(config, "frames", 0),
-        ))
-    with get_tracer().span(f"run {benchmark}:{mode.value}",
-                           category="harness"):
+    with run_span(benchmark, mode.value,
+                  frames if frames is not None else config.frames):
         stream = benchmark_stream(benchmark, config, frames)
         gpu = GPU.from_spec(spec, mode, scheduler=scheduler, config=config)
         result = gpu.render_stream(stream)
-        metrics = metrics_from_result(benchmark, mode, result)
-    if bus.enabled:
-        bus.emit(RunFinished(
-            benchmark=benchmark, mode=mode.value,
-            seconds=time.perf_counter() - started,
-            frames=len(result.frames),
-            fragments=result.total_stats().fragments_shaded,
-        ))
-    return metrics
+    return metrics_from_result(benchmark, mode, result)
 
 
 def _run_pair(
@@ -225,8 +206,6 @@ class SuiteRunner:
             serially, exactly as before.
         cache_dir: directory of the persistent run cache; ``None``
             disables disk caching (the in-memory memo always applies).
-        profiler: optional :class:`~repro.obs.SchedulerProfiler`
-            attached to the suite scheduler (observability only).
         retry_policy: arming this (or ``fault_plan``) routes the suite
             fan-out through a :class:`~repro.resilience.ResilientScheduler`
             — per-job timeouts, bounded retries, pool rebuilds and
@@ -249,7 +228,6 @@ class SuiteRunner:
                  frames: Optional[int] = None,
                  jobs: Optional[int] = None,
                  cache_dir: Optional[str] = None,
-                 profiler: Optional[SchedulerProfiler] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  journal_dir: Optional[str] = None,
@@ -271,7 +249,6 @@ class SuiteRunner:
         self.spec = spec
         self.config = spec.gpu
         self.jobs = jobs or 1
-        self.profiler = profiler
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.strict = strict or spec.resilience.strict
@@ -299,7 +276,7 @@ class SuiteRunner:
 
     def _suite_scheduler(self) -> Scheduler:
         if self._scheduler is None:
-            scheduler = make_scheduler(self.jobs, profiler=self.profiler)
+            scheduler = make_scheduler(self.jobs)
             if self.resilient:
                 scheduler = ResilientScheduler(
                     scheduler,
@@ -439,8 +416,8 @@ class SuiteRunner:
     def run_many(
         self, benchmarks: Sequence[str], modes: Sequence[object]
     ) -> Dict[Tuple[str, str], RunMetrics]:
-        """Run the (benchmark, mode) cross product, fanning uncached pairs
-        out through the suite scheduler when ``jobs > 1``."""
+        """Run the (benchmark, mode) cross product, mapping uncached pairs
+        through the suite scheduler (a process pool when ``jobs > 1``)."""
         techniques = [resolve_technique(mode) for mode in modes]
         pairs = [(benchmark, mode) for benchmark in benchmarks
                  for mode in techniques]
@@ -460,50 +437,32 @@ class SuiteRunner:
                 (benchmark, mode, self.spec)
                 for benchmark, mode in missing
             ]
-            total = len(missing)
-            settled = [0]  # suite-progress MetricSample numerator
+            settled = 0
 
-            def _progress() -> None:
-                settled[0] += 1
+            # Each cell is stored (disk cache and journal) and reported
+            # as it settles, so an interrupted sweep keeps every cell
+            # finished before the interruption.  Under supervision a
+            # permanently failed cell becomes a NaN placeholder instead
+            # of aborting the sweep.
+            def _settle(index: int, value: Any) -> None:
+                nonlocal settled
+                if isinstance(value, JobFailure):
+                    self._record_failure(missing[index], value)
+                else:
+                    self._store(missing[index], value, to_disk=True)
+                settled += 1
                 bus = get_bus()
                 if bus.enabled:
                     bus.emit(MetricSample(name="suite.progress",
-                                          value=settled[0] / total))
+                                          value=settled / len(missing)))
 
-            if self.resilient:
-                # Supervised fan-out: each cell settles (and is
-                # checkpointed) independently; a permanently failed
-                # cell becomes a NaN placeholder instead of aborting
-                # the sweep.
-                def _settle(index: int, value: Any) -> None:
-                    if isinstance(value, JobFailure):
-                        self._record_failure(missing[index], value)
-                    else:
-                        self._store(missing[index], value, to_disk=True)
-                    _progress()
-
-                with get_tracer().span("suite.map", category="harness",
-                                       runs=len(missing)):
-                    self._suite_scheduler().map_resilient(
-                        _run_pair, payloads, on_result=_settle
-                    )
-            elif self.jobs > 1 and len(missing) > 1:
-                with get_tracer().span("suite.map", category="harness",
-                                       runs=len(missing)):
-                    results = self._suite_scheduler().map(
-                        _run_pair, payloads
-                    )
-                for key, metrics in zip(missing, results):
-                    self._store(key, metrics, to_disk=True)
-                    _progress()
-            else:
-                for benchmark, mode in missing:
-                    self._store(
-                        (benchmark, mode),
-                        run_benchmark(benchmark, mode, spec=self.spec),
-                        to_disk=True,
-                    )
-                    _progress()
+            scheduler = self._suite_scheduler()
+            with span("suite.map", "harness", runs=len(missing)):
+                if self.resilient:
+                    scheduler.map_resilient(_run_pair, payloads,
+                                            on_result=_settle)
+                else:
+                    scheduler.map(_run_pair, payloads, on_result=_settle)
 
         return {
             (benchmark, mode.value): self._cache[(benchmark, mode)]

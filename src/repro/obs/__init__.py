@@ -1,40 +1,44 @@
-"""Observability: tracing, metrics and profiling over the execution engine.
+"""Observability: one instrumentation stream and its subscribers.
 
-The paper's argument is quantitative — per-tile prediction accuracy,
-poison rates, cycles and energy removed — and this package is where those
-quantities become first-class, without perturbing what they measure:
+The paper's argument is quantitative, and so is the simulator's account
+of itself.  Everything it measures about its own execution travels one
+path — span → bus → subscribers — without perturbing what it measures:
 
-* :mod:`repro.obs.trace` — a span-based tracer.  The default
-  :data:`~repro.obs.trace.NULL_TRACER` is a no-op (near-zero overhead);
-  :class:`~repro.obs.trace.ChromeTracer` records frame → phase → tile
-  spans and exports Chrome ``chrome://tracing`` / Perfetto trace-event
-  JSON (``repro run <bench> --trace out.json``).
-* :mod:`repro.obs.metrics` — a registry of counters, gauges and
-  histograms unifying :class:`~repro.timing.FrameStats` and
-  :class:`~repro.engine.Instrumentation` emission, plus the derived EVR
-  telemetry (FVP prediction confusion matrix, RE skip/check ratios,
-  disk-cache hit/miss/evict counters).  Exports JSONL or CSV.
-* :mod:`repro.obs.profile` — a scheduler profiler recording per-tile-job
-  wall time, queue wait and worker occupancy for both Serial and
-  ProcessPool schedulers.  Timings are observability-only: they never
-  feed the simulated cycle or energy models.
+* :mod:`repro.obs.events` — the process-wide event bus (the only
+  observability singleton) and :func:`~repro.obs.events.span`, the only
+  timing primitive.  With the default :data:`~repro.obs.events.NULL_BUS`
+  a span is a shared no-op; otherwise it reads ``perf_counter`` at entry
+  and exit and publishes one :class:`~repro.obs.events.Span`.  Work a
+  scheduler maps runs inside :class:`~repro.obs.events.EventForwardingCall`,
+  which opens the job's span where it runs and ships a pool worker's
+  buffered events home with the result.  Events have a versioned JSONL
+  wire form; the ``--events`` log carries the markers and the run,
+  phase and job spans.
+* :mod:`repro.obs.trace` — :class:`~repro.obs.trace.ChromeTracer`, the
+  subscriber behind ``--trace``: Chrome/Perfetto trace-event JSON with
+  one lane per process.
+* :mod:`repro.obs.profile` — :class:`~repro.obs.profile.SchedulerProfiler`,
+  the subscriber deriving per-job time, queue wait and worker occupancy
+  from job and ``map`` spans (``repro profile``).
+* :mod:`repro.obs.ledger` — the persistent run ledger under
+  ``.repro_ledger/`` with drift detection (``repro ledger check``); its
+  :class:`~repro.obs.ledger.PhaseAccumulator` subscriber fills each
+  cell's measured phase seconds.
+* :mod:`repro.obs.live` — :class:`~repro.obs.live.LiveRenderer`, the
+  subscriber behind ``--live``.
+* :mod:`repro.obs.metrics` — counters, gauges and histograms plus the
+  derived EVR telemetry (FVP confusion matrix, RE ratios); the bus feeds
+  it through :class:`~repro.obs.events.MetricsSubscriber`, runtime
+  components (disk cache, resilience) count into it directly.
+* :mod:`repro.obs.dashboard` — renders the ledger (plus optional event
+  and metrics logs) into one self-contained HTML page.
 * :mod:`repro.obs.log` — logging configuration and the CLI output
   helper honoring ``-v/--verbose`` and ``-q/--quiet``.
-* :mod:`repro.obs.events` — the structured event bus: typed run/phase/
-  tile/metric/fault events with monotonic sequence numbers and a JSONL
-  wire form, forwarded from pool workers over the result channel.
-  Subscribers (``--live`` terminal progress, ``--events`` JSONL log,
-  tracer/metrics consumers) are one-way by construction.
-* :mod:`repro.obs.ledger` — the persistent run ledger under
-  ``.repro_ledger/``: append-only history of every run/figure/bench
-  invocation, with drift detection (``repro ledger check``).
-* :mod:`repro.obs.dashboard` — renders the ledger (plus optional event
-  and metrics logs) into one self-contained HTML page
-  (``repro dashboard``).
-* :mod:`repro.obs.live` — the live terminal renderer behind ``--live``.
 
-Nothing in here is imported on the simulator's per-fragment hot path;
-span emission happens at frame / phase / command / tile granularity.
+Every subscriber is one-way: nothing is read back by the simulation, so
+a run with any of them attached is bit-identical to a bare run.  Spans
+sit at run / frame / phase / command / job granularity, never on the
+per-fragment hot path.
 """
 
 from .events import (
@@ -47,17 +51,16 @@ from .events import (
     MetricsSubscriber,
     NULL_BUS,
     NullBus,
-    PhaseCompleted,
-    RunFinished,
     RunStarted,
-    TileJobFinished,
-    TracerSubscriber,
+    Span,
     event_from_wire,
     get_bus,
     publishing,
     read_event_log,
     replay_forwarded,
+    run_span,
     set_bus,
+    span,
     to_wire,
 )
 from .ledger import PhaseAccumulator, RunLedger, resolve_ledger_dir
@@ -77,15 +80,7 @@ from .metrics import (
     write_jsonl,
 )
 from .profile import SchedulerProfiler, phase_breakdown
-from .trace import (
-    NULL_TRACER,
-    ChromeTracer,
-    NullTracer,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    tracing,
-)
+from .trace import ChromeTracer
 
 __all__ = [
     "Output",
@@ -105,13 +100,7 @@ __all__ = [
     "write_csv_records",
     "SchedulerProfiler",
     "phase_breakdown",
-    "Tracer",
-    "NullTracer",
     "ChromeTracer",
-    "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "tracing",
     "EVENT_SCHEMA_VERSION",
     "EventBus",
     "EventForwardingCall",
@@ -121,17 +110,16 @@ __all__ = [
     "MetricsSubscriber",
     "NULL_BUS",
     "NullBus",
-    "PhaseCompleted",
-    "RunFinished",
     "RunStarted",
-    "TileJobFinished",
-    "TracerSubscriber",
+    "Span",
     "event_from_wire",
     "get_bus",
     "publishing",
     "read_event_log",
     "replay_forwarded",
+    "run_span",
     "set_bus",
+    "span",
     "to_wire",
     "PhaseAccumulator",
     "RunLedger",

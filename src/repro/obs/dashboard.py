@@ -14,9 +14,9 @@ publishes as an artifact on every push.  Five panels:
 * **Phase breakdown** — measured geometry/raster wall seconds per run
   entry as a stacked area (filled when runs executed with an event bus
   attached; cached cells carry no phase timings).
-* **Worker occupancy** — one lane per worker pid showing tile-job
-  intervals, read from an ``--events`` JSONL log's
-  :class:`~repro.obs.events.TileJobFinished` records.
+* **Worker occupancy** — one lane per worker pid showing scheduler-job
+  intervals (tile jobs and suite cells), read from the job spans of an
+  ``--events`` JSONL log.
 * **Memsys** — the batched memory-system counters (drain batch sizes,
   same-tag run-collapse ratio, scalar-tail lane fraction) from a
   ``--metrics`` export's registry record.
@@ -32,7 +32,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .events import TileJobFinished, read_event_log
+from .events import JOB_CATEGORIES, Span, read_event_log
 from .ledger import RunLedger
 
 # One shared palette (mode / series / lane colors cycle through it).
@@ -254,14 +254,15 @@ def phase_panel(entries: List[Dict[str, Any]]) -> str:
 
 
 def occupancy_panel(events_path: Optional[str]) -> str:
-    """Worker lanes: one row per pid, a rect per tile-job interval."""
+    """Worker lanes: one row per pid, a rect per job-span interval."""
     if not events_path or not os.path.exists(events_path):
         return _empty("no event log supplied — pass --events with a JSONL "
                       "file captured via `repro ... --events out.jsonl`")
     jobs = [event for event in read_event_log(events_path)
-            if isinstance(event, TileJobFinished) and event.end > event.start]
+            if isinstance(event, Span) and event.category in JOB_CATEGORIES
+            and event.end > event.start]
     if not jobs:
-        return _empty("event log has no tile-job events")
+        return _empty("event log has no job spans")
     workers = sorted({job.worker for job in jobs})
     t0 = min(job.start for job in jobs)
     t1 = max(job.end for job in jobs)
@@ -269,7 +270,7 @@ def occupancy_panel(events_path: Optional[str]) -> str:
     lane_h, width, pad_l = 18, 980, 86
     height = 24 + lane_h * len(workers) + 22
     plot_w = width - pad_l - 10
-    body = [_text(pad_l, 14, f"{len(jobs)} tile jobs over {span:.3f}s",
+    body = [_text(pad_l, 14, f"{len(jobs)} jobs over {span:.3f}s",
                   size=10)]
     for index, worker in enumerate(workers):
         y = 22 + index * lane_h
@@ -283,9 +284,8 @@ def occupancy_panel(events_path: Optional[str]) -> str:
         body.append(_rect(
             x, 22 + index * lane_h + 2, w, lane_h - 6,
             PALETTE[index % len(PALETTE)],
-            title=(f"tile {job.tile} on pid {job.worker}: "
-                   f"{(job.end - job.start) * 1e3:.2f}ms, "
-                   f"{job.fragments} fragments"),
+            title=(f"{job.name} on pid {job.worker}: "
+                   f"{job.seconds * 1e3:.2f}ms"),
         ))
     return _svg(width, height, body)
 
@@ -381,7 +381,7 @@ def build_dashboard(ledger: RunLedger,
          "measured wall seconds per pipeline phase, stacked per run",
          phase_panel(entries)),
         ("Worker occupancy",
-         "tile-job intervals per worker process, from the event log",
+         "scheduler-job intervals per worker process, from the event log",
          occupancy_panel(events_path)),
         ("Batched memory system",
          "drain batching and lane-collapse telemetry, from the metrics "

@@ -1,34 +1,37 @@
-"""The structured event bus: typed, ordered, one-way run telemetry.
+"""The event bus and the span: the one instrumentation stream.
 
-Where :mod:`repro.obs.trace` records *intervals* for post-hoc viewing,
-this module broadcasts *events* while a run executes: run/phase/tile
-progress, metric samples and injected faults, published to any number of
-subscribers (a live terminal renderer, a JSONL event log, the tracer and
-metrics registry as consumers — see :mod:`repro.obs.live` and the
-subscriber classes below).  The bus follows the tracer's process-wide
-singleton pattern:
+Every measurement the simulator reports about *itself* — where wall time
+went, which worker ran which job, how a run progressed — travels as a
+typed event on one process-wide bus.  Durations have exactly one source:
 
-* :data:`NULL_BUS` (the default) swallows everything; ``emit()`` on it
-  is one attribute check at every instrumented call site, so a run
-  without subscribers pays nothing.
-* :class:`EventBus` stamps every event with a monotonically increasing
-  sequence number and fans it out to subscribers synchronously, in
-  subscription order.
+* :func:`span` times a block.  With the :data:`NULL_BUS` installed (the
+  default) it returns a shared no-op, so an instrumented call site costs
+  one function call.  Otherwise it reads ``time.perf_counter`` once at
+  entry and once at exit and publishes one :class:`Span` carrying name,
+  category, both endpoints, the executing pid and its args.  The handle
+  lets the call site attach args before exit (``handle.args[...]``,
+  guarded by ``handle.enabled``).
+* :class:`RunStarted`, :class:`MetricSample` and :class:`FaultInjected`
+  are markers without a duration; :class:`CorpusFamilyChecked` reports
+  a corpus family's verdict with the gate's own elapsed seconds.
 
-**Schema.** Events are frozen dataclasses; the wire form is one JSON
-object per line carrying ``v`` (:data:`EVENT_SCHEMA_VERSION`), ``kind``,
-``seq``, ``ts`` (wall-clock seconds) and the event's own fields.  The
-version bumps whenever a field is removed or changes meaning; adding
-fields is backward-compatible and does not bump it.  ``event_from_wire``
-ignores unknown fields for exactly that reason.
+Subscribers (the Chrome tracer, scheduler profiler, ledger phase
+accumulator, live renderer, metrics registry, JSONL event log) all read
+this one stream, so they can never disagree about a timing.
 
-**Worker forwarding.**  Pipeline events fire inside whichever process
-executes the work.  Under a :class:`~repro.engine.ProcessPoolScheduler`
-that is a worker without access to the parent's subscribers, so the
-schedulers wrap mapped calls in :class:`EventForwardingCall`: the worker
-buffers its events next to the job's result (the same wire the profiler
-uses), and the parent re-emits them — re-stamped, so the merged stream
-stays monotonically ordered — when it unwraps the result.
+**Wire schema (v2).**  One JSON object per line carrying ``v``
+(:data:`EVENT_SCHEMA_VERSION`), ``kind``, ``seq`` (monotonic per bus),
+``ts`` (wall-clock seconds) and the event's own fields.  The version
+bumps whenever a field is removed or changes meaning; readers skip
+lines of any other version and ignore unknown fields.
+
+**Worker forwarding.**  Work mapped by a scheduler runs inside
+:class:`EventForwardingCall`, which opens the job's span where the job
+runs.  In a pool worker it also installs a buffering bus for the call;
+the buffered events ride home next to the result, and the parent
+re-emits them (re-stamped, so the merged stream stays ordered) when it
+unwraps the result.  ``perf_counter`` is system-wide monotonic, so
+worker span endpoints are comparable with the parent's.
 
 **One-way by construction.**  Nothing here is read back by the
 simulation, and a subscriber that raises is disconnected with a warning
@@ -39,11 +42,12 @@ bit-identical to a bare run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -52,7 +56,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Type,
     Union,
@@ -64,16 +67,44 @@ logger = get_logger("obs.events")
 
 #: Bumped when an existing wire field is removed or changes meaning.
 #: New fields may be added without a bump (readers ignore unknowns).
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
 # Event types (the versioned schema)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
+class Span:
+    """A finished, timed interval.
+
+    ``start``/``end`` are ``time.perf_counter`` readings in the process
+    that ran the block (``worker`` is its pid).  Categories in use:
+    ``run``, ``frame``, ``phase``, ``geometry``, ``raster``, ``tile`` and
+    ``cell`` (scheduler jobs), ``scheduler`` (one ``map`` call),
+    ``harness``, ``cache`` and ``resilience``.
+    """
+
+    name: str
+    category: str
+    start: float
+    end: float
+    worker: int = 0
+    args: Dict[str, Any] = field(default_factory=dict)
+    seq: int = 0
+    ts: float = 0.0
+
+    kind = "span"
+
+    @property
+    def seconds(self) -> float:
+        return self.end - self.start
+
+
+@dataclass
 class RunStarted:
-    """One (benchmark, mode) simulation is about to render."""
+    """One (benchmark, mode) simulation is about to render; its ``run``
+    span follows once it finishes."""
 
     benchmark: str
     mode: str
@@ -84,49 +115,7 @@ class RunStarted:
     kind = "run-started"
 
 
-@dataclass(frozen=True)
-class PhaseCompleted:
-    """One pipeline phase of one frame finished.
-
-    ``fragments``/``cache_ops`` are the phase's contribution (shaded
-    fragments so far for raster, simulated cache-unit accesses for the
-    phase's instrumentation) — the live renderer derives its
-    fragments/s and cache-ops/s from these.
-    """
-
-    phase: str
-    frame: int
-    seconds: float
-    fragments: int = 0
-    cache_ops: int = 0
-    seq: int = 0
-    ts: float = 0.0
-
-    kind = "phase-completed"
-
-
-@dataclass(frozen=True)
-class TileJobFinished:
-    """One tile job finished executing (in whichever process ran it).
-
-    ``start``/``end`` are ``time.perf_counter`` endpoints measured in
-    the executing process (system-wide monotonic, so comparable across
-    workers); ``worker`` is that process's pid — together they are the
-    dashboard's worker-occupancy lane data.
-    """
-
-    tile: int
-    fragments: int
-    worker: int = 0
-    start: float = 0.0
-    end: float = 0.0
-    seq: int = 0
-    ts: float = 0.0
-
-    kind = "tile-job-finished"
-
-
-@dataclass(frozen=True)
+@dataclass
 class MetricSample:
     """A named scalar sampled mid-run (suite progress, bench rates)."""
 
@@ -138,7 +127,7 @@ class MetricSample:
     kind = "metric-sample"
 
 
-@dataclass(frozen=True)
+@dataclass
 class FaultInjected:
     """The resilience layer observed a retryable failure."""
 
@@ -151,25 +140,10 @@ class FaultInjected:
     kind = "fault-injected"
 
 
-@dataclass(frozen=True)
-class RunFinished:
-    """One (benchmark, mode) simulation completed."""
-
-    benchmark: str
-    mode: str
-    seconds: float
-    frames: int = 0
-    fragments: int = 0
-    seq: int = 0
-    ts: float = 0.0
-
-    kind = "run-finished"
-
-
-@dataclass(frozen=True)
+@dataclass
 class CorpusFamilyChecked:
     """The corpus gate finished differentially validating one stress
-    family (additive schema: new kind, no version bump).
+    family.
 
     ``failures`` counts violated checks; ``shrink_evals`` is non-zero
     only when a violation triggered the delta-debugging shrinker.
@@ -188,12 +162,11 @@ class CorpusFamilyChecked:
     kind = "corpus-family-checked"
 
 
-Event = Union[RunStarted, PhaseCompleted, TileJobFinished, MetricSample,
-              FaultInjected, RunFinished, CorpusFamilyChecked]
+Event = Union[Span, RunStarted, MetricSample, FaultInjected,
+              CorpusFamilyChecked]
 
 EVENT_TYPES: Tuple[Type, ...] = (
-    RunStarted, PhaseCompleted, TileJobFinished, MetricSample,
-    FaultInjected, RunFinished, CorpusFamilyChecked,
+    Span, RunStarted, MetricSample, FaultInjected, CorpusFamilyChecked,
 )
 
 _KIND_TO_TYPE: Dict[str, Type] = {cls.kind: cls for cls in EVENT_TYPES}
@@ -202,7 +175,7 @@ _KIND_TO_TYPE: Dict[str, Type] = {cls.kind: cls for cls in EVENT_TYPES}
 def to_wire(event: Event) -> Dict[str, Any]:
     """The event's JSONL wire object (``v`` + ``kind`` + fields)."""
     record: Dict[str, Any] = {"v": EVENT_SCHEMA_VERSION, "kind": event.kind}
-    record.update(dataclasses.asdict(event))
+    record.update(vars(event))
     return record
 
 
@@ -277,12 +250,13 @@ class EventBus:
             self._subscribers.remove(subscriber)
 
     def emit(self, event: Event) -> None:
-        """Stamp ``seq``/``ts`` and deliver to every subscriber."""
+        """Stamp ``seq`` (and ``ts``, unless set) on the event in place and
+        deliver it to every subscriber.  An event object is emitted once
+        per bus; a worker's events reach the parent as fresh copies."""
         self._seq += 1
-        event = dataclasses.replace(
-            event, seq=self._seq,
-            ts=event.ts if event.ts else time.time(),
-        )
+        event.seq = self._seq
+        if not event.ts:
+            event.ts = time.time()
         self.emitted += 1
         for subscriber in list(self._subscribers):
             try:
@@ -301,7 +275,7 @@ _CURRENT: Bus = NULL_BUS
 
 
 def get_bus() -> Bus:
-    """The process-wide bus instrumented call sites emit into."""
+    """The process-wide bus instrumented call sites publish on."""
     return _CURRENT
 
 
@@ -321,6 +295,91 @@ def publishing(bus: Bus) -> Iterator[Bus]:
         yield bus
     finally:
         set_bus(previous)
+
+
+@contextmanager
+def subscribed(subscriber: Subscriber) -> Iterator[Bus]:
+    """Attach ``subscriber`` to the installed bus for the block,
+    installing a fresh :class:`EventBus` first when only the null bus
+    is there."""
+    bus = _CURRENT
+    if not bus.enabled:
+        with publishing(EventBus()) as fresh:
+            fresh.subscribe(subscriber)
+            yield fresh
+        return
+    bus.subscribe(subscriber)
+    try:
+        yield bus
+    finally:
+        bus.unsubscribe(subscriber)
+
+
+# ---------------------------------------------------------------------------
+# The span
+# ---------------------------------------------------------------------------
+
+class _NullSpan:
+    """The shared do-nothing span handed out while the bus is off."""
+
+    __slots__ = ()
+
+    enabled = False
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _OpenSpan:
+    """A span in progress; publishes one :class:`Span` when it exits."""
+
+    __slots__ = ("_bus", "name", "category", "args", "start")
+
+    enabled = True
+
+    def __init__(self, bus: EventBus, name: str, category: str,
+                 args: Dict[str, Any]):
+        self._bus = bus
+        self.name = name
+        self.category = category
+        self.args = args
+        self.start = 0.0
+
+    def __enter__(self) -> "_OpenSpan":
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        end = time.perf_counter()
+        self._bus.emit(Span(self.name, self.category, self.start, end,
+                            os.getpid(), self.args))
+
+
+def span(name: str, category: str = "sim",
+         **args: Any) -> Union[_NullSpan, _OpenSpan]:
+    """Time a ``with`` block and publish it as one :class:`Span`."""
+    bus = _CURRENT
+    if not bus.enabled:
+        return _NULL_SPAN
+    return _OpenSpan(bus, name, category, args)
+
+
+@contextmanager
+def run_span(benchmark: str, mode: str, frames: int) -> Iterator[None]:
+    """Announce one (benchmark, mode) simulation: a :class:`RunStarted`
+    marker at entry, then a ``run`` span covering the block."""
+    bus = _CURRENT
+    if bus.enabled:
+        bus.emit(RunStarted(benchmark=benchmark, mode=mode, frames=frames))
+    with span(f"run {benchmark}:{mode}", "run", benchmark=benchmark,
+              mode=mode, frames=frames):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -344,28 +403,61 @@ class ForwardedResult:
     events: List[Event]
 
 
+#: Span categories of scheduler jobs (see :func:`job_label`).
+TILE_JOB = "tile"
+CELL_JOB = "cell"
+JOB_CATEGORIES = (TILE_JOB, CELL_JOB)
+
+_MAP_IDS = itertools.count(1)
+
+
+def next_map_id() -> str:
+    """A fresh id tying one ``map`` span to its job spans; unique across
+    processes (pool workers number their own maps under their pid)."""
+    return f"{os.getpid()}.{next(_MAP_IDS)}"
+
+
+def job_label(item: Any) -> Tuple[str, str]:
+    """``(span name, category)`` of one mapped work item: tile jobs are
+    ``tile <n>`` in category ``tile``; suite cells ``<bench>:<mode>``
+    and anything else category ``cell``."""
+    tile = getattr(item, "tile", None)
+    if tile is not None:
+        return f"tile {tile}", TILE_JOB
+    if isinstance(item, tuple) and len(item) >= 2:
+        mode = getattr(item[1], "value", item[1])
+        return f"{item[0]}:{mode}", CELL_JOB
+    return "job", CELL_JOB
+
+
 class EventForwardingCall:
-    """Picklable wrapper buffering a mapped call's events where it runs.
+    """The one worker wrapper: runs a mapped call inside its job span.
 
     In the parent process (serial scheduler, or a pool's single-item
-    shortcut) events already reach the live bus, so the call passes
-    through and forwards nothing.  In a worker — including one forked
-    with the parent's bus object inherited — a fresh buffering bus is
-    installed for the call's duration, and the buffered events ride home
-    next to the result for the parent to re-emit in submission order.
+    shortcut) the span and any events the job emits reach the live bus
+    directly, and nothing is forwarded.  In a worker — including one
+    forked with the parent's bus object inherited — a fresh buffering
+    bus is installed for the call's duration, and the buffered events
+    (the job span last) ride home next to the result for the parent to
+    re-emit in submission order.
     """
 
     def __init__(self, fn: Callable[[Any], Any],
-                 parent_pid: Optional[int] = None):
+                 parent_pid: Optional[int] = None,
+                 map_id: Optional[str] = None):
         self.fn = fn
         self.parent_pid = os.getpid() if parent_pid is None else parent_pid
+        self.map_id = map_id
 
     def __call__(self, item: Any) -> ForwardedResult:
+        name, category = job_label(item)
         if os.getpid() == self.parent_pid:
-            return ForwardedResult(self.fn(item), [])
+            with span(name, category, map=self.map_id):
+                return ForwardedResult(self.fn(item), [])
         buffer = _BufferBus()
         with publishing(buffer):
-            result = self.fn(item)
+            with span(name, category, map=self.map_id):
+                result = self.fn(item)
         return ForwardedResult(result, buffer.events)
 
 
@@ -383,16 +475,25 @@ def replay_forwarded(value: Any, bus: Optional[Bus] = None) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Subscribers: event log, tracer and metrics consumers
+# Subscribers: event log and metrics registry
 # ---------------------------------------------------------------------------
+
+#: Span categories the JSONL event log carries: runs, phases, scheduler
+#: jobs, the suite sweep and pool rebuilds.  The finer spans (frames,
+#: geometry commands, raster stages, ``map`` calls, cache operations)
+#: reach the in-memory subscribers and the trace but not the log, which
+#: keeps the per-event write cost of ``--events`` bounded.
+LOGGED_SPAN_CATEGORIES = frozenset(
+    ("run", "phase", TILE_JOB, CELL_JOB, "harness", "resilience"))
+
 
 class JsonlEventWriter:
     """Streams events to a JSONL file, crash-durably.
 
-    Every event is written and flushed as it arrives, so a faulted or
-    killed run leaves a valid prefix of the stream on disk; ``close()``
-    is idempotent and registered with ``atexit`` by the CLI as the
-    flush-on-crash backstop.
+    Every marker and every span in :data:`LOGGED_SPAN_CATEGORIES` is
+    written and flushed as it arrives, so a faulted or killed run leaves
+    a valid prefix of the stream on disk; ``close()`` is idempotent and
+    registered with ``atexit`` by the CLI as the flush-on-crash backstop.
     """
 
     def __init__(self, path: str):
@@ -401,7 +502,9 @@ class JsonlEventWriter:
         self._handle: Optional[IO[str]] = open(path, "w")
 
     def __call__(self, event: Event) -> None:
-        if self._handle is None:
+        if self._handle is None or (
+                isinstance(event, Span)
+                and event.category not in LOGGED_SPAN_CATEGORIES):
             return
         self._handle.write(json.dumps(to_wire(event), sort_keys=True))
         self._handle.write("\n")
@@ -434,27 +537,9 @@ def read_event_log(path: str) -> List[Event]:
     return events
 
 
-class TracerSubscriber:
-    """Feeds bus events into a tracer as instants on an ``events`` lane
-    — the ChromeTracer consuming the bus, so a ``--trace`` file carries
-    the event stream alongside its spans."""
-
-    def __init__(self, tracer) -> None:
-        self.tracer = tracer
-
-    def __call__(self, event: Event) -> None:
-        if not self.tracer.enabled:
-            return
-        args = {key: value
-                for key, value in dataclasses.asdict(event).items()
-                if not isinstance(value, (list, dict))}
-        self.tracer.instant(event.kind, category="event", **args)
-
-
 class MetricsSubscriber:
     """Counts bus events into a metrics registry (``events.*``): per-kind
-    counters, phase-seconds histograms and metric-sample gauges — the
-    MetricsRegistry consuming the bus."""
+    counters, phase-seconds histograms and metric-sample gauges."""
 
     def __init__(self, registry) -> None:
         self.registry = registry
@@ -462,16 +547,17 @@ class MetricsSubscriber:
     def __call__(self, event: Event) -> None:
         registry = self.registry
         registry.counter(f"events.{event.kind}").inc()
-        if isinstance(event, PhaseCompleted):
-            registry.histogram(
-                f"events.phase_seconds.{event.phase}"
-            ).observe(event.seconds)
+        if isinstance(event, Span):
+            if event.category == "phase":
+                registry.histogram(
+                    f"events.phase_seconds.{event.name}"
+                ).observe(event.seconds)
         elif isinstance(event, MetricSample):
             registry.gauge(f"events.sample.{event.name}").set(event.value)
 
 
 def cache_ops_of(instrumentation) -> int:
     """Simulated cache-unit accesses in one instrumentation record (the
-    ``cache_ops`` payload of :class:`PhaseCompleted`)."""
+    ``cache_ops`` arg of a phase span)."""
     return sum(counters.get("accesses", 0)
                for counters in instrumentation.units.values())

@@ -37,7 +37,7 @@ import subprocess
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .events import Event, PhaseCompleted, RunStarted
+from .events import Event, RunStarted, Span
 from .log import get_logger
 
 logger = get_logger("obs.ledger")
@@ -305,13 +305,13 @@ class RunLedger:
 
 
 class PhaseAccumulator:
-    """Bus subscriber folding :class:`PhaseCompleted` seconds into
-    per-cell totals — the ledger's ``phases`` field.
+    """Bus subscriber folding phase-span seconds into per-cell totals —
+    the ledger's ``phases`` field, on the same clock as the trace.
 
     Attribution relies on each run's events being contiguous on the
     parent bus, which the forwarding protocol guarantees: a worker
-    job's buffered stream (``RunStarted … PhaseCompleted … RunFinished``)
-    is replayed atomically when its result is unwrapped.
+    job's buffered stream (``RunStarted``, its phase spans, its ``run``
+    span) is replayed atomically when its result is unwrapped.
     """
 
     def __init__(self) -> None:
@@ -321,9 +321,10 @@ class PhaseAccumulator:
     def __call__(self, event: Event) -> None:
         if isinstance(event, RunStarted):
             self._current = (event.benchmark, event.mode)
-        elif isinstance(event, PhaseCompleted) and self._current is not None:
+        elif (isinstance(event, Span) and event.category == "phase"
+              and self._current is not None):
             cell = self.phases.setdefault(self._current, {})
-            cell[event.phase] = cell.get(event.phase, 0.0) + event.seconds
+            cell[event.name] = cell.get(event.name, 0.0) + event.seconds
 
     def for_cell(self, benchmark: str, mode: str) -> Dict[str, float]:
         return self.phases.get((benchmark, mode), {})

@@ -4,7 +4,7 @@ as they execute.
 :class:`LiveRenderer` subscribes to the structured event bus
 (:mod:`repro.obs.events`) and keeps one status line per in-flight
 simulation updated in place — benchmark:mode, frame progress, and
-throughput (fragments/s and cache-ops/s derived from the phase events'
+throughput (fragments/s and cache-ops/s derived from the phase spans'
 own measured seconds, so the numbers describe simulation work, not
 renderer overhead).  When stderr is not a TTY (CI logs, pipes) it
 degrades to plain one-line-per-run output, so ``--live`` is always safe
@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, Optional, Tuple
 
 from .events import (
+    TILE_JOB,
     Event,
     FaultInjected,
     MetricSample,
-    PhaseCompleted,
-    RunFinished,
     RunStarted,
-    TileJobFinished,
+    Span,
 )
 
 
@@ -73,8 +72,8 @@ class LiveRenderer:
     """Renders bus events as live terminal progress on ``stream``.
 
     In TTY mode the current run's status line is redrawn in place
-    (carriage return, no scrollback spam) and finalized on
-    :class:`RunFinished`; in plain mode only run-level lines are
+    (carriage return, no scrollback spam) and finalized by the run's
+    ``run`` span; in plain mode only run-level lines are
     printed.  ``interactive`` forces the mode for tests.
     """
 
@@ -126,35 +125,8 @@ class LiveRenderer:
                 self._println(f"start  {event.benchmark}:{event.mode}"
                               + (f"  {event.frames} frames"
                                  if event.frames else ""))
-        elif isinstance(event, PhaseCompleted):
-            progress = self._current()
-            if progress is None:
-                return
-            progress.phase = event.phase
-            progress.seconds += event.seconds
-            progress.fragments += event.fragments
-            progress.cache_ops += event.cache_ops
-            count = progress.phase_counts.get(event.phase, 0) + 1
-            progress.phase_counts[event.phase] = count
-            progress.frames_done = max(progress.frames_done,
-                                       min(count, event.frame + 1))
-            if self.interactive:
-                self._rewrite(progress.status())
-        elif isinstance(event, TileJobFinished):
-            progress = self._current()
-            if progress is not None:
-                progress.tiles += 1
-        elif isinstance(event, RunFinished):
-            progress = self._runs.pop((event.benchmark, event.mode), None)
-            fragments = event.fragments or (
-                progress.fragments if progress else 0)
-            line = (f"done   {event.benchmark}:{event.mode}"
-                    f"  {event.seconds:.2f}s"
-                    f"  {_rate(fragments, event.seconds)} frag/s")
-            if progress and progress.cache_ops:
-                line += (f"  {_rate(progress.cache_ops, progress.seconds)}"
-                         " cache-ops/s")
-            self._println(line)
+        elif isinstance(event, Span):
+            self._on_span(event)
         elif isinstance(event, FaultInjected):
             self._println(f"fault  {event.key}"
                           f"  attempt {event.attempt}  {event.fault}")
@@ -164,6 +136,36 @@ class LiveRenderer:
                 if progress is not None:
                     self._rewrite(progress.status()
                                   + f"  [{event.name}={event.value:g}]")
+
+    def _on_span(self, event: Span) -> None:
+        if event.category == "run":
+            key = (event.args.get("benchmark"), event.args.get("mode"))
+            progress = self._runs.pop(key, None)
+            fragments = progress.fragments if progress else 0
+            line = (f"done   {key[0]}:{key[1]}  {event.seconds:.2f}s"
+                    f"  {_rate(fragments, event.seconds)} frag/s")
+            if progress and progress.cache_ops:
+                line += (f"  {_rate(progress.cache_ops, progress.seconds)}"
+                         " cache-ops/s")
+            self._println(line)
+            return
+        progress = self._current()
+        if progress is None:
+            return
+        if event.category == TILE_JOB:
+            progress.tiles += 1
+        elif event.category == "phase":
+            progress.phase = event.name
+            progress.seconds += event.seconds
+            progress.fragments += event.args.get("fragments", 0)
+            progress.cache_ops += event.args.get("cache_ops", 0)
+            count = progress.phase_counts.get(event.name, 0) + 1
+            progress.phase_counts[event.name] = count
+            progress.frames_done = max(
+                progress.frames_done,
+                min(count, event.args.get("frame", 0) + 1))
+            if self.interactive:
+                self._rewrite(progress.status())
 
     def _current(self) -> Optional[_RunProgress]:
         """The most recently started still-running simulation."""

@@ -1,31 +1,28 @@
 """Scheduler profiling: where wall-clock time and worker capacity go.
 
-A :class:`SchedulerProfiler` attaches to any scheduler (see
-``repro.engine.scheduler``) and measures every mapped job *in the process
-that executes it*: per-job wall time, queue wait (submission to start)
-and which worker ran it.  From those it derives worker occupancy — the
-fraction of the fan-out window each worker spent busy — for both the
-Serial and ProcessPool schedulers.
+A :class:`SchedulerProfiler` subscribes to the event bus and reads the
+spans the schedulers publish: one job span per mapped item (category
+``tile`` or ``cell``, timed in the process that ran it) and one ``map``
+span per ``Scheduler.map`` call, which closes after all of its jobs.
+Both carry the call's ``map`` id.  From those it derives per-job wall
+time, queue wait (map entry to job start), which worker ran each job,
+and worker occupancy — the fraction of the fan-out window each worker
+spent busy — for both the Serial and ProcessPool schedulers.
 
-The measurement path is deliberately one-way: the wrapper times the call
-and passes the job's return value through untouched, so profiled and
-unprofiled executions produce bit-identical simulated results; only
-observability output differs.  Job timings also feed the process-wide
-metrics registry (``scheduler.*`` histograms) and, when a
-:class:`~repro.obs.trace.ChromeTracer` is attached, become per-tile trace
-spans — on the ``main`` track when the job ran in-process (serial
-scheduler), on a ``worker-<pid>`` track when a pool worker ran it.
+It is a subscriber like any other: it never touches the jobs it
+measures, so profiled and unprofiled executions produce bit-identical
+simulated results.  Job timings also feed the process-wide metrics
+registry (``scheduler.*`` histograms).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Dict, List
 
+from .events import JOB_CATEGORIES, Event, Span
 from .metrics import global_registry
-from .trace import MAIN_TRACK, Tracer
 
 
 @dataclass(frozen=True)
@@ -57,92 +54,52 @@ class BatchTiming:
         return self.end - self.submit
 
 
-@dataclass
-class _Timed:
-    """Wire record a wrapped call sends back from the executing process."""
-
-    result: Any
-    start: float
-    end: float
-    worker: int
-
-
-class _TimedCall:
-    """Picklable wrapper timing ``fn(item)`` where it runs."""
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, item: Any) -> _Timed:
-        start = time.perf_counter()
-        result = self.fn(item)
-        return _Timed(result, start, time.perf_counter(), os.getpid())
-
-
-def _label_for(item: Any, index: int) -> str:
-    """A human label for one work item (tile jobs and suite pairs get
-    recognizable names; anything else falls back to its index)."""
-    tile = getattr(item, "tile", None)
-    if tile is not None:
-        return f"tile {tile}"
-    if isinstance(item, tuple) and len(item) >= 2:
-        mode = getattr(item[1], "value", item[1])
-        return f"{item[0]}:{mode}"
-    return f"job {index}"
-
-
 class SchedulerProfiler:
-    """Accumulates job and batch timings across ``Scheduler.map`` calls."""
+    """Accumulates job and batch timings from scheduler spans.
 
-    def __init__(self, tracer: Optional[Tracer] = None):
-        self.tracer = tracer
+    Job spans arrive before the ``map`` span that encloses them (a span
+    is published when it closes, and a map closes after its jobs), so
+    jobs wait under their ``map`` id until that map span claims them.
+    """
+
+    def __init__(self) -> None:
         self.timings: List[JobTiming] = []
         self.batches: List[BatchTiming] = []
+        self._pending: Dict[str, List[Span]] = {}
         self._parent_pid = os.getpid()
 
-    # -- scheduler-facing API ------------------------------------------------
+    def __call__(self, event: Event) -> None:
+        if not isinstance(event, Span):
+            return
+        if event.category in JOB_CATEGORIES:
+            self._pending.setdefault(event.args.get("map"), []).append(event)
+        elif event.category == "scheduler":
+            self._close_batch(event)
 
-    def wrap(self, fn: Callable[[Any], Any]) -> _TimedCall:
-        """The timed, picklable stand-in schedulers map instead of ``fn``."""
-        return _TimedCall(fn)
-
-    def collect(self, submit: float, items: Sequence[Any],
-                timed: Sequence[_Timed]) -> List[Any]:
-        """Record one batch's timings; returns the unwrapped results."""
+    def _close_batch(self, envelope: Span) -> None:
+        claimed = self._pending.pop(envelope.args.get("map"), None)
+        if not claimed:
+            return
         batch = len(self.batches)
         registry = global_registry()
         job_hist = registry.histogram("scheduler.job_seconds")
         wait_hist = registry.histogram("scheduler.queue_wait_seconds")
-        results: List[Any] = []
-        batch_end = submit
-        for index, (item, record) in enumerate(zip(items, timed)):
+        for job in claimed:
             timing = JobTiming(
-                label=_label_for(item, index),
+                label=job.name,
                 batch=batch,
-                start=record.start,
-                end=record.end,
-                worker=record.worker,
-                queue_wait=max(0.0, record.start - submit),
+                start=job.start,
+                end=job.end,
+                worker=job.worker,
+                queue_wait=max(0.0, job.start - envelope.start),
             )
             self.timings.append(timing)
             job_hist.observe(timing.duration)
             wait_hist.observe(timing.queue_wait)
-            if record.end > batch_end:
-                batch_end = record.end
-            if self.tracer is not None and self.tracer.enabled:
-                track = (MAIN_TRACK if record.worker == self._parent_pid
-                         else f"worker-{record.worker}")
-                self.tracer.complete(
-                    timing.label, "tile", record.start, record.end,
-                    track=track,
-                    args={"queue_wait_ms": timing.queue_wait * 1e3,
-                          "batch": batch},
-                )
-            results.append(record.result)
-        self.batches.append(BatchTiming(submit, batch_end, len(timed)))
-        registry.counter("scheduler.jobs").inc(len(timed))
+        self.batches.append(BatchTiming(envelope.start, envelope.end,
+                                        len(claimed)))
+        registry.counter("scheduler.jobs").inc(len(claimed))
         registry.counter("scheduler.batches").inc()
-        return results
 
     # -- summaries -----------------------------------------------------------
 
@@ -193,11 +150,11 @@ class SchedulerProfiler:
 
 
 def phase_breakdown(tracer) -> List[Dict[str, float]]:
-    """Wall-time totals per span name for ``frame``/``phase``/``harness``
-    category spans of a :class:`~repro.obs.trace.ChromeTracer`."""
+    """Wall-time totals per span name for ``run``/``frame``/``phase``/
+    ``harness`` category spans of a :class:`~repro.obs.trace.ChromeTracer`."""
     totals: Dict[str, Dict[str, float]] = {}
     for event in tracer.spans():
-        if event.get("cat") not in ("frame", "phase", "harness"):
+        if event.get("cat") not in ("run", "frame", "phase", "harness"):
             continue
         entry = totals.setdefault(
             event["name"], {"count": 0, "total_ms": 0.0}

@@ -1,99 +1,33 @@
-"""Span-based tracing, exportable as Chrome/Perfetto trace-event JSON.
+"""The Chrome/Perfetto trace: a bus subscriber that writes trace-event JSON.
 
-The simulator emits *spans* — named, nested time intervals — from the
-frame loop, both pipeline phases, the schedulers and the disk cache.
-Where they go is decided once per process:
-
-* :data:`NULL_TRACER` (the default) swallows everything.  ``span()``
-  returns a shared no-op context manager, so an instrumented call site
-  costs one method call when tracing is off.
-* :class:`ChromeTracer` buffers `trace-event format`__ "complete"
-  events and writes a JSON file loadable in ``chrome://tracing`` or
-  https://ui.perfetto.dev.  Spans carry a *track*: parent-side spans
-  (frame, phase, command, cache) live on the ``main`` track; per-tile
-  spans recorded by the scheduler profiler live on the track of the
-  worker that ran them, so pool executions render as a lane per worker.
+:class:`ChromeTracer` subscribes to the event bus
+(:mod:`repro.obs.events`) and turns every event into one `trace-event`__
+record: each :class:`~repro.obs.events.Span` becomes a "complete" (``X``)
+event, every other event an instant (``i``) named after its kind.  Both
+carry the event's bus ``seq`` in their args, so every line of a JSONL
+event log of the same run can be found in the trace.
 
 __ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-Timestamps come from :func:`time.perf_counter`, which on the platforms
-we support is a system-wide monotonic clock, so worker-side interval
-endpoints are directly comparable with parent-side ones.  Tracing is
-observability-only by construction: nothing here is read back by the
-simulation, so enabling it cannot change any simulated result.
+Spans land on the lane of the process that ran them: ``main`` for the
+process that built the tracer, ``worker-<pid>`` for a pool worker, so a
+pooled run renders as one lane per worker with its cells, frames and
+phases nested inside.  Instants go on ``main`` at the moment the parent
+receives them.  The output loads in ``chrome://tracing`` or
+https://ui.perfetto.dev.
 """
 
 from __future__ import annotations
 
 import atexit
 import json
+import os
 import time
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
-from contextlib import contextmanager
+from typing import IO, Any, Dict, List, Optional, Union
+
+from .events import Event, Span
 
 MAIN_TRACK = "main"
-
-
-class _NullSpan:
-    """The shared do-nothing span handed out while tracing is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Tracing disabled: every operation is a no-op."""
-
-    enabled = False
-
-    def span(self, name: str, category: str = "sim",
-             track: str = MAIN_TRACK, **args: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def complete(self, name: str, category: str, start: float, end: float,
-                 track: str = MAIN_TRACK,
-                 args: Optional[Dict[str, Any]] = None) -> None:
-        return None
-
-    def instant(self, name: str, category: str = "sim",
-                track: str = MAIN_TRACK, **args: Any) -> None:
-        return None
-
-
-NULL_TRACER = NullTracer()
-
-
-class _Span:
-    """An open span; records a complete event when the ``with`` exits."""
-
-    __slots__ = ("_tracer", "name", "category", "track", "args", "_start")
-
-    def __init__(self, tracer: "ChromeTracer", name: str, category: str,
-                 track: str, args: Dict[str, Any]):
-        self._tracer = tracer
-        self.name = name
-        self.category = category
-        self.track = track
-        self.args = args
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._tracer.complete(
-            self.name, self.category, self._start, time.perf_counter(),
-            track=self.track, args=self.args or None,
-        )
 
 
 class ChromeTracer:
@@ -104,13 +38,12 @@ class ChromeTracer:
     ``main``, ``worker-<pid>``, … as labelled lanes.
     """
 
-    enabled = True
-
     _PID = 1
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
         self._epoch = time.perf_counter()
+        self._pid = os.getpid()
         self._tracks: Dict[str, int] = {}
         self._flush_path: Optional[str] = None
         self._atexit_armed = False
@@ -132,38 +65,28 @@ class ChromeTracer:
     def _to_us(self, t: float) -> float:
         return (t - self._epoch) * 1e6
 
-    # -- event emission -----------------------------------------------------
+    # -- the subscriber -----------------------------------------------------
 
-    def span(self, name: str, category: str = "sim",
-             track: str = MAIN_TRACK, **args: Any) -> _Span:
-        """A context manager recording one complete event on exit."""
-        return _Span(self, name, category, track, args)
-
-    def complete(self, name: str, category: str, start: float, end: float,
-                 track: str = MAIN_TRACK,
-                 args: Optional[Dict[str, Any]] = None) -> None:
-        """Record a finished interval from raw ``perf_counter`` endpoints."""
-        event: Dict[str, Any] = {
-            "name": name, "cat": category, "ph": "X",
-            "ts": self._to_us(start),
-            "dur": max(0.0, (end - start) * 1e6),
-            "pid": self._PID, "tid": self.track_id(track),
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-
-    def instant(self, name: str, category: str = "sim",
-                track: str = MAIN_TRACK, **args: Any) -> None:
-        """Record a zero-duration marker."""
-        event: Dict[str, Any] = {
-            "name": name, "cat": category, "ph": "i",
+    def __call__(self, event: Event) -> None:
+        if isinstance(event, Span):
+            track = (MAIN_TRACK if event.worker == self._pid
+                     else f"worker-{event.worker}")
+            self.events.append({
+                "name": event.name, "cat": event.category, "ph": "X",
+                "ts": self._to_us(event.start),
+                "dur": max(0.0, event.seconds * 1e6),
+                "pid": self._PID, "tid": self.track_id(track),
+                "args": {**event.args, "seq": event.seq},
+            })
+            return
+        args = {key: value for key, value in vars(event).items()
+                if key != "ts"}
+        self.events.append({
+            "name": event.kind, "cat": "event", "ph": "i",
             "ts": self._to_us(time.perf_counter()), "s": "t",
-            "pid": self._PID, "tid": self.track_id(track),
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
+            "pid": self._PID, "tid": self.track_id(MAIN_TRACK),
+            "args": args,
+        })
 
     # -- export -------------------------------------------------------------
 
@@ -173,11 +96,14 @@ class ChromeTracer:
 
     def write(self, file: Union[str, IO[str]]) -> None:
         """Serialize the trace to ``file`` (path or text handle)."""
+        # ``dumps`` takes the C encoder; ``dump`` would stream through
+        # the pure-Python one, which is slow on large traces.
+        text = json.dumps(self.export())
         if isinstance(file, str):
             with open(file, "w") as handle:
-                json.dump(self.export(), handle)
+                handle.write(text)
         else:
-            json.dump(self.export(), file)
+            file.write(text)
 
     # -- crash durability ----------------------------------------------------
 
@@ -207,7 +133,7 @@ class ChromeTracer:
         except Exception:  # noqa: BLE001 - last-gasp flush, never raise
             pass
 
-    # -- analysis (used by ``repro profile``) --------------------------------
+    # -- analysis (used by ``repro profile`` and ``repro bench``) -----------
 
     def spans(self, category: Optional[str] = None) -> List[Dict[str, Any]]:
         """Complete events, optionally filtered by category."""
@@ -216,31 +142,3 @@ class ChromeTracer:
             if event.get("ph") == "X"
             and (category is None or event.get("cat") == category)
         ]
-
-
-Tracer = Union[NullTracer, ChromeTracer]
-
-_CURRENT: Tracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer:
-    """The process-wide tracer instrumented call sites emit into."""
-    return _CURRENT
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` process-wide; returns the previous one."""
-    global _CURRENT
-    previous = _CURRENT
-    _CURRENT = tracer
-    return previous
-
-
-@contextmanager
-def tracing(tracer: Tracer) -> Iterator[Tracer]:
-    """Scoped :func:`set_tracer`: restores the previous tracer on exit."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

@@ -45,7 +45,7 @@ from ..kernels import normalize_backend
 from ..math3d import Mat4, Vec2, viewport
 from ..memsys import MemorySystem
 from ..memsys.ops import parameter_buffer_writes, replay_memory_trace
-from ..obs.trace import get_tracer
+from ..obs.events import span
 from ..techniques.dsr import dsr_signature
 from ..timing import FrameStats
 from .features import PipelineFeatures
@@ -138,11 +138,10 @@ class GeometryPipeline:
         if self.backend == "numpy":
             self._process_frame_soa(frame, stats)
             return
-        tracer = get_tracer()
         for command_id, command in enumerate(frame.commands):
             stats.commands_processed += 1
-            with tracer.span("command", category="geometry",
-                             label=command.label, frame=frame.index):
+            with span("command", "geometry",
+                      label=command.label, frame=frame.index):
                 triangles = self._shade_and_assemble(
                     frame, command_id, command, stats
                 )
@@ -436,11 +435,10 @@ class GeometryPipeline:
         first_triangle = 0
         binned = 0
 
-        tracer = get_tracer()
         for command_id, command in enumerate(commands):
             stats.commands_processed += 1
-            with tracer.span("command", category="geometry",
-                             label=command.label, frame=frame.index):
+            with span("command", "geometry",
+                      label=command.label, frame=frame.index):
                 prepass = self._fetch_command_soa(command, stats)
                 screens = self._screen_triangles_soa(
                     command_id, command, first_triangle, rows,

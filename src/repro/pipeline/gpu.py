@@ -9,7 +9,6 @@ per-frame statistics, memory snapshots and the rendered images.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -28,8 +27,7 @@ from ..hw.lgt import LayerGeneratorTable
 from ..hw.parameter_buffer import ParameterBuffer
 from ..kernels import normalize_backend
 from ..memsys import create_memory_system
-from ..obs.events import PhaseCompleted, cache_ops_of, get_bus
-from ..obs.trace import get_tracer
+from ..obs.events import cache_ops_of, span
 from ..techniques.dsr import DSRController
 from ..techniques.registry import resolve_features
 from ..timing import CostModel, CostParameters, FrameStats, StatsAccumulator
@@ -308,8 +306,7 @@ class GPU:
             raise PipelineError("render_frame called re-entrantly")
         self._rendering = True
         try:
-            with get_tracer().span("frame", category="frame",
-                                   frame=frame.index):
+            with span("frame", "frame", frame=frame.index):
                 return self._render_frame(frame)
         finally:
             self._rendering = False
@@ -317,41 +314,31 @@ class GPU:
     def _render_frame(self, frame: Frame) -> FrameResult:
         config = self.config
         stats = FrameStats()
-        tracer = get_tracer()
-        bus = get_bus()
         self.parameter_buffer.reset()
         if self.lgt is not None:
             self.lgt.reset()
 
         # -- Geometry Pipeline --
+        # Each phase span covers the phase's work and the memsys drain
+        # that ``instrumentation()`` triggers for it.
         self.memory.reset_stats()
-        phase_start = time.perf_counter()
-        with tracer.span("geometry", category="phase", frame=frame.index):
+        with span("geometry", "phase", frame=frame.index) as phase:
             self.geometry.process_frame(frame, stats)
-        geometry_instr = self.memory.instrumentation()
-        if bus.enabled:
-            bus.emit(PhaseCompleted(
-                phase="geometry", frame=frame.index,
-                seconds=time.perf_counter() - phase_start,
-                cache_ops=cache_ops_of(geometry_instr),
-            ))
+            geometry_instr = self.memory.instrumentation()
+            if phase.enabled:
+                phase.args["cache_ops"] = cache_ops_of(geometry_instr)
 
         # -- Raster Pipeline --
         self.memory.reset_stats()
         image = np.zeros((config.screen_height, config.screen_width, 4))
         image[:, :] = np.array(config.clear_color)
-        phase_start = time.perf_counter()
-        with tracer.span("raster", category="phase", frame=frame.index):
+        with span("raster", "phase", frame=frame.index) as phase:
             self.raster.render_frame(image, self._previous_image, stats)
-        self.memory.end_frame()
-        raster_instr = self.memory.instrumentation()
-        if bus.enabled:
-            bus.emit(PhaseCompleted(
-                phase="raster", frame=frame.index,
-                seconds=time.perf_counter() - phase_start,
-                fragments=stats.fragments_shaded,
-                cache_ops=cache_ops_of(raster_instr),
-            ))
+            self.memory.end_frame()
+            raster_instr = self.memory.instrumentation()
+            if phase.enabled:
+                phase.args["fragments"] = stats.fragments_shaded
+                phase.args["cache_ops"] = cache_ops_of(raster_instr)
 
         # -- end of frame --
         if self.re is not None:

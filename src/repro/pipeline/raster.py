@@ -41,7 +41,7 @@ from ..hw.parameter_buffer import ParameterBuffer
 from ..kernels import DEFAULT_BACKEND, normalize_backend
 from ..kernels.tile_geometry import tile_region
 from ..memsys import MemorySystem
-from ..obs.trace import get_tracer
+from ..obs.events import span
 from ..timing import FrameStats
 from .features import PipelineFeatures
 
@@ -89,9 +89,8 @@ class RasterPipeline:
             stats: frame counters, updated in place.
         """
         config = self.config
-        tracer = get_tracer()
         jobs: List[TileJob] = []
-        with tracer.span("schedule", category="raster"):
+        with span("schedule", "raster"):
             for tile_y in range(config.tiles_y):
                 for tile_x in range(config.tiles_x):
                     tile = tile_y * config.tiles_x + tile_x
@@ -123,22 +122,20 @@ class RasterPipeline:
                         ),
                     ))
 
-        with tracer.span("execute", category="raster", tiles=len(jobs)):
+        with span("execute", "raster", tiles=len(jobs)):
             results = self.scheduler.map(execute_tile_job, jobs)
         # The reduce phase splits into two independent sub-loops so the
         # bench can attribute its cost: replaying the recorded memory
         # traces (the historical bottleneck) versus folding the
         # functional results into the frame.  ``drain()`` pins deferred
         # batched-model work inside the replay span.
-        with tracer.span("reduce", category="raster", tiles=len(jobs)):
-            with tracer.span("reduce-replay", category="raster",
-                             tiles=len(jobs)):
+        with span("reduce", "raster", tiles=len(jobs)):
+            with span("reduce-replay", "raster", tiles=len(jobs)):
                 for result in results:
                     stats.merge(result.stats)
                     replay_memory_trace(result.memory_ops, self.memory)
                 self.memory.drain()
-            with tracer.span("reduce-finalize", category="raster",
-                             tiles=len(jobs)):
+            with span("reduce-finalize", "raster", tiles=len(jobs)):
                 for job, result in zip(jobs, results):
                     self._reduce_tile(job, result, image, stats)
 

@@ -26,12 +26,13 @@ Both accept an ``on_result`` callback invoked as each job settles, which
 is what makes incremental checkpointing possible.
 
 Everything observable goes through :mod:`repro.obs`: retry/timeout/
-crash/rebuild counters in the process-wide metrics registry, ``retry``
-spans and fault instants in the process-wide tracer, warnings via the
-package logger.  With neither a fault plan nor a timeout armed, a pool
-batch takes an optimistic unsupervised pass through the bare scheduler
-(chunked, zero overhead) and is only re-run supervised if that pass
-fails; results are bit-identical to the bare scheduler's either way.
+crash/rebuild counters in the process-wide metrics registry,
+``pool-rebuild`` spans and one ``FaultInjected`` event per retryable
+failure on the event bus, warnings via the package logger.  With
+neither a fault plan nor a timeout armed, a pool batch takes an
+optimistic unsupervised pass through the bare scheduler (chunked, zero
+overhead) and is only re-run supervised if that pass fails; results are
+bit-identical to the bare scheduler's either way.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ from ..obs.events import (
     FaultInjected,
     ForwardedResult,
     get_bus,
+    next_map_id,
+    replay_forwarded,
+    span,
 )
 from ..obs.log import get_logger
 from ..obs.metrics import global_registry
-from ..obs.trace import get_tracer
 from .faults import CorruptedResult, FaultPlan, FaultyCall
 from .policy import RetryPolicy, backoff_delay
 
@@ -119,7 +122,6 @@ class _InFlight:
     index: int
     key: str
     attempt: int
-    submitted: float
     deadline: Optional[float]
 
 
@@ -134,6 +136,7 @@ class ResilientScheduler:
         self.fault_plan = fault_plan
         self._parent_pid = os.getpid()
         self._batch = 0
+        self._map_id: Optional[str] = None
         self._rebuilds = 0
         self._degraded = False
         # Monkeypatch point for tests: sleeping between retries.
@@ -144,10 +147,6 @@ class ResilientScheduler:
     @property
     def jobs(self) -> int:
         return getattr(self.inner, "jobs", 1)
-
-    @property
-    def profiler(self):
-        return getattr(self.inner, "profiler", None)
 
     def close(self) -> None:
         self.inner.close()
@@ -166,10 +165,17 @@ class ResilientScheduler:
 
     # -- mapping -------------------------------------------------------------
 
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
+            on_result: Optional[Callable[[int, Any], None]] = None,
+            ) -> List[Any]:
         """Strict map: all jobs succeed, or the first exhausted job's
-        :class:`~repro.errors.JobRetryExhaustedError` is raised."""
-        results = self.map_resilient(fn, items)
+        :class:`~repro.errors.JobRetryExhaustedError` is raised.
+        ``on_result`` sees only the jobs that succeeded."""
+        def settled(index: int, value: Any) -> None:
+            if on_result is not None and not isinstance(value, JobFailure):
+                on_result(index, value)
+
+        results = self.map_resilient(fn, items, settled)
         for value in results:
             if isinstance(value, JobFailure):
                 raise value.to_error()
@@ -203,15 +209,17 @@ class ResilientScheduler:
                                          results, on_result):
                 return results
             pool = self._pool()  # the failure may have degraded us
-        if pool is not None:
-            remaining = self._map_pool(pool, fn, items, batch, attempts,
-                                       results, on_result)
-        else:
-            remaining = [index for index, value in enumerate(results)
-                         if value is _UNSET]
-        for index in remaining:
-            self._run_item_serial(fn, items, index, batch, attempts,
-                                  results, on_result)
+        self._map_id = next_map_id()
+        with span("map", "scheduler", jobs=len(items), map=self._map_id):
+            if pool is not None:
+                remaining = self._map_pool(pool, fn, items, batch, attempts,
+                                           results, on_result)
+            else:
+                remaining = [index for index, value in enumerate(results)
+                             if value is _UNSET]
+            for index in remaining:
+                self._run_item_serial(fn, items, index, batch, attempts,
+                                      results, on_result)
         return results
 
     # -- shared helpers ------------------------------------------------------
@@ -232,33 +240,20 @@ class ResilientScheduler:
         call: Callable[[Any], Any] = FaultyCall(
             fn, self.fault_plan, key, attempt, self._parent_pid
         )
-        profiler = self.profiler
-        if profiler is not None:
-            call = profiler.wrap(call)
         if get_bus().enabled:
-            # Outermost, so buffer install/teardown is outside the
-            # profiler's measured window.
-            call = EventForwardingCall(call, self._parent_pid)
+            call = EventForwardingCall(call, self._parent_pid,
+                                       map_id=self._map_id)
         return call
 
-    def _unwrap(self, item: Any, submitted: float, value: Any) -> Any:
+    def _unwrap(self, value: Any) -> Any:
         """Undo :meth:`_call` wrapping for one settled job: replay the
-        worker's forwarded events and feed the profiler its timing."""
-        events: Sequence[Any] = ()
-        if isinstance(value, ForwardedResult):
-            events = value.events
-            value = value.result
-        profiler = self.profiler
-        if profiler is not None:
-            [value] = profiler.collect(submitted, [item], [value])
-        if events and not isinstance(value, CorruptedResult):
+        worker's forwarded events (job span included)."""
+        if (isinstance(value, ForwardedResult)
+                and isinstance(value.result, CorruptedResult)):
             # A corrupted attempt is retried; dropping its events keeps
             # the stream free of duplicate per-attempt telemetry.
-            bus = get_bus()
-            if bus.enabled:
-                for event in events:
-                    bus.emit(event)
-        return value
+            return value.result
+        return replay_forwarded(value)
 
     def _settle(self, index: int, value: Any, results: List[Any],
                 on_result: Optional[Callable[[int, Any], None]]) -> None:
@@ -269,8 +264,6 @@ class ResilientScheduler:
     def _note_retryable(self, key: str, attempt: int, kind: str,
                         message: str) -> None:
         global_registry().counter(f"resilience.{kind}").inc()
-        get_tracer().instant(f"fault:{kind}", category="resilience",
-                             key=key, attempt=attempt)
         get_bus().emit(FaultInjected(key=key, attempt=attempt, fault=kind))
         logger.warning("job %s attempt %d failed (%s): %s",
                        key, attempt, kind, message)
@@ -283,13 +276,6 @@ class ResilientScheduler:
                        key, attempts, message)
         self._settle(index, JobFailure(index, key, kind, message, attempts),
                      results, on_result)
-
-    def _retry_span(self, key: str, attempt: int, start: float) -> None:
-        """Record the winning retry as a trace span + counter."""
-        if attempt > 1:
-            get_tracer().complete(f"retry {key}", "resilience", start,
-                                  time.perf_counter(),
-                                  args={"attempt": attempt})
 
     def _backoff(self, key: str, attempt: int) -> float:
         delay = backoff_delay(self.policy, attempt, key)
@@ -318,18 +304,12 @@ class ResilientScheduler:
         injected hang merely delays; it cannot wedge the run.
         """
         key = self._key(batch, index)
-        first_start = None
         while True:
             attempt = attempts[index] + 1
             attempts[index] = attempt
-            start = time.perf_counter()
-            if first_start is None:
-                first_start = start
             try:
                 value = self._unwrap(
-                    items[index], start,
-                    self._call(fn, key, attempt)(items[index]),
-                )
+                    self._call(fn, key, attempt)(items[index]))
             except Exception as exc:  # noqa: BLE001 - retry boundary
                 kind = ("injected_faults"
                         if isinstance(exc, InjectedFaultError) else "errors")
@@ -341,7 +321,6 @@ class ResilientScheduler:
                                          repr(value))
                     failure_kind, message = "corrupt", repr(value)
                 else:
-                    self._retry_span(key, attempt, first_start)
                     self._settle(index, value, results, on_result)
                     return
             if attempt >= self.policy.max_attempts:
@@ -415,7 +394,6 @@ class ResilientScheduler:
             if results[index] is _UNSET
         )
         inflight: Dict[Future, _InFlight] = {}
-        first_start: Dict[int, float] = {}
 
         def submit_ready() -> None:
             now = time.perf_counter()
@@ -430,15 +408,12 @@ class ResilientScheduler:
                 attempt = attempts[index] + 1
                 attempts[index] = attempt
                 key = self._key(batch, index)
-                submitted = time.perf_counter()
-                first_start.setdefault(index, submitted)
-                deadline = (submitted + policy.timeout_seconds
+                deadline = (time.perf_counter() + policy.timeout_seconds
                             if policy.timeout_seconds else None)
                 future = pool._ensure_executor().submit(
                     self._call(fn, key, attempt), items[index]
                 )
-                inflight[future] = _InFlight(index, key, attempt,
-                                             submitted, deadline)
+                inflight[future] = _InFlight(index, key, attempt, deadline)
 
         def after_failure(meta: _InFlight, kind: str, message: str) -> None:
             if meta.attempt >= policy.max_attempts:
@@ -505,15 +480,12 @@ class ResilientScheduler:
                                          repr(exc))
                     after_failure(meta, "error", repr(exc))
                 else:
-                    value = self._unwrap(items[meta.index], meta.submitted,
-                                         value)
+                    value = self._unwrap(value)
                     if isinstance(value, CorruptedResult):
                         self._note_retryable(meta.key, meta.attempt,
                                              "corrupt_results", repr(value))
                         after_failure(meta, "corrupt", repr(value))
                     else:
-                        self._retry_span(meta.key, meta.attempt,
-                                         first_start[meta.index])
                         self._settle(meta.index, value, results, on_result)
             if broken:
                 abort_inflight(())
@@ -528,13 +500,12 @@ class ResilientScheduler:
     def _rebuild(self, pool: ProcessPoolScheduler) -> None:
         self._rebuilds += 1
         global_registry().counter("resilience.pool_rebuilds").inc()
-        get_tracer().instant("pool-rebuild", category="resilience",
-                             rebuilds=self._rebuilds)
-        pool.terminate()
-        if self._rebuilds > self.policy.max_pool_rebuilds:
-            self._degraded = True
+        self._degraded = self._rebuilds > self.policy.max_pool_rebuilds
+        with span("pool-rebuild", "resilience", rebuilds=self._rebuilds,
+                  serial_fallback=self._degraded):
+            pool.terminate()
+        if self._degraded:
             global_registry().counter("resilience.serial_fallbacks").inc()
-            get_tracer().instant("serial-fallback", category="resilience")
             logger.warning(
                 "pool rebuilt %d times (limit %d); degrading to serial "
                 "in-process execution", self._rebuilds,

@@ -277,9 +277,11 @@ class ResilienceSpec:
 class ObsSpec:
     """Observability options — never result-affecting by contract.
 
-    ``events`` streams the structured event bus to a JSONL file and
-    ``live`` renders it as terminal progress (both install an
-    :class:`~repro.obs.events.EventBus` for the invocation).  ``ledger``
+    ``trace`` writes the bus as Chrome trace-event JSON, ``metrics``
+    exports the metrics registry, ``events`` streams the bus to a JSONL
+    file and ``live`` renders it as terminal progress; any of the four
+    installs an :class:`~repro.obs.events.EventBus` for the invocation.
+    ``ledger``
     overrides the run-ledger directory (default ``.repro_ledger/`` /
     ``REPRO_LEDGER_DIR``); ``"off"`` disables ledger recording.
     """
@@ -301,7 +303,7 @@ class ObsSpec:
 
     def wants_bus(self) -> bool:
         """Whether this invocation should install a live event bus."""
-        return bool(self.events or self.live)
+        return bool(self.trace or self.metrics or self.events or self.live)
 
 
 def _default_gpu() -> GPUConfig:

@@ -12,7 +12,7 @@ combination (adding flags + the fragment-path hook if the mechanism is
 new), ``register(Technique(...))`` with a validation contract
 (``pixel_exact`` or an ``error_tolerance``), and optionally attach a
 :func:`register_metric_extractor` for its distilled metrics.  See
-``docs/architecture.md`` §14.
+``docs/architecture.md`` §13.
 """
 
 from .registry import (

@@ -8,7 +8,7 @@ import pytest
 import repro.cli
 from repro.cli import build_parser, main
 from repro.engine import SerialScheduler
-from repro.obs import NULL_TRACER, get_tracer
+from repro.obs import NULL_BUS, get_bus
 from repro.spec import spec_from_args
 
 
@@ -126,7 +126,7 @@ class TestObservabilityFlags:
         assert main(["run", "hop", "--modes", "baseline", "evr",
                      "--trace", trace_path, "--metrics", metrics_path]
                     + self.SMALL) == 0
-        assert get_tracer() is NULL_TRACER  # tracer uninstalled after
+        assert get_bus() is NULL_BUS  # bus uninstalled after
 
         with open(trace_path) as handle:
             trace = json.load(handle)
@@ -193,12 +193,12 @@ class TestObservabilityFlags:
                 raise RuntimeError("boom")
 
         monkeypatch.setattr(repro.cli, "make_scheduler",
-                            lambda jobs, profiler=None: _SpyScheduler())
+                            lambda jobs: _SpyScheduler())
         monkeypatch.setattr(repro.cli, "GPU", _ExplodingGPU)
         with pytest.raises(RuntimeError):
             main(["run", "hop"] + self.SMALL)
         assert closes  # the with-block released the scheduler anyway
-        assert get_tracer() is NULL_TRACER
+        assert get_bus() is NULL_BUS
 
 
 class TestResilienceFlags:
@@ -335,8 +335,9 @@ class TestEventBusCli:
         seqs = [r["seq"] for r in records]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
         kinds = {r["kind"] for r in records}
-        assert {"run-started", "phase-completed", "tile-job-finished",
-                "run-finished"} <= kinds
+        assert {"run-started", "span"} <= kinds
+        categories = {r["category"] for r in records if r["kind"] == "span"}
+        assert {"phase", "tile", "run"} <= categories
 
     def test_pool_figure_bit_identical_with_full_observability(
             self, tmp_path, monkeypatch, capsys):
@@ -359,8 +360,8 @@ class TestEventBusCli:
             records = [json.loads(line) for line in handle]
         assert [r["seq"] for r in records] == \
             sorted(r["seq"] for r in records)
-        assert any(r["kind"] == "tile-job-finished" and r["worker"]
-                   for r in records)
+        assert any(r["kind"] == "span" and r["category"] == "tile"
+                   and r["worker"] != os.getpid() for r in records)
         # And the run was ledgered with measured phase timings.
         from repro.obs.ledger import RunLedger
         entries = RunLedger(str(tmp_path / "ledger")).entries()

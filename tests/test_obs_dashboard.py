@@ -22,7 +22,7 @@ from repro.obs.dashboard import (
     write_dashboard,
 )
 from repro.harness.runner import RunMetrics
-from repro.obs.events import EventBus, JsonlEventWriter, TileJobFinished
+from repro.obs.events import EventBus, JsonlEventWriter, Span
 from repro.obs.ledger import RunLedger
 
 
@@ -63,8 +63,8 @@ def event_log(tmp_path):
     for tile, (worker, start) in enumerate(
         [(100, 1.0), (101, 1.1), (100, 1.4), (101, 1.5)]
     ):
-        bus.emit(TileJobFinished(tile=tile, fragments=64, worker=worker,
-                                 start=start, end=start + 0.2))
+        bus.emit(Span(f"tile {tile}", "tile", start, start + 0.2,
+                      worker=worker))
     writer.close()
     return path
 

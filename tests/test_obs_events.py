@@ -30,17 +30,17 @@ from repro.obs.events import (
     MetricSample,
     MetricsSubscriber,
     NULL_BUS,
-    PhaseCompleted,
-    RunFinished,
     RunStarted,
-    TileJobFinished,
-    TracerSubscriber,
+    Span,
     event_from_wire,
     get_bus,
     publishing,
+    job_label,
     read_event_log,
     replay_forwarded,
+    run_span,
     set_bus,
+    span,
     to_wire,
 )
 from repro.pipeline import GPU, PipelineMode
@@ -110,16 +110,66 @@ class TestBusBasics:
         assert seen == []
 
 
+class TestSpan:
+    def test_span_publishes_one_event_at_exit(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        with publishing(bus):
+            with span("work", "test", answer=42) as handle:
+                assert handle.enabled and seen == []
+                handle.args["late"] = 1
+        [event] = seen
+        assert (event.name, event.category) == ("work", "test")
+        assert event.args == {"answer": 42, "late": 1}
+        assert 0.0 < event.start <= event.end
+        assert event.worker == os.getpid() and event.seq == 1
+
+    def test_span_published_when_block_raises(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        with publishing(bus), pytest.raises(RuntimeError):
+            with span("doomed"):
+                raise RuntimeError("boom")
+        assert [event.name for event in seen] == ["doomed"]
+
+    def test_run_span_marks_entry_then_closes(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        with publishing(bus):
+            with run_span("hop", "evr", 3):
+                with span("frame", "frame"):
+                    pass
+        assert [event.kind for event in seen] == ["run-started", "span",
+                                                  "span"]
+        run = seen[-1]
+        assert (run.name, run.category) == ("run hop:evr", "run")
+        assert run.args == {"benchmark": "hop", "mode": "evr", "frames": 3}
+
+    def test_job_labels(self):
+        class Tile:
+            tile = 5
+
+        assert job_label(Tile()) == ("tile 5", "tile")
+        assert job_label(("hop", PipelineMode.EVR, None)) == ("hop:evr",
+                                                              "cell")
+        assert job_label(3) == ("job", "cell")
+
+
 class TestWireForm:
     EVENTS = [
         RunStarted(benchmark="cde", mode="evr", frames=4),
-        PhaseCompleted(phase="raster", frame=2, seconds=0.5,
-                       fragments=100, cache_ops=200),
-        TileJobFinished(tile=7, fragments=64, worker=123,
-                        start=1.0, end=2.0),
+        Span(name="raster", category="phase", start=1.0, end=1.5,
+             worker=123, args={"frame": 2, "fragments": 100,
+                               "cache_ops": 200}),
+        Span(name="tile 7", category="tile", start=1.0, end=2.0,
+             worker=123),
         MetricSample(name="suite.progress", value=0.5),
-        RunFinished(benchmark="cde", mode="evr", seconds=1.5,
-                    frames=4, fragments=400),
+        Span(name="run cde:evr", category="run", start=0.5, end=2.0,
+             worker=123, args={"benchmark": "cde", "mode": "evr",
+                               "frames": 4}),
         CorpusFamilyChecked(family="sliver", frames=4, seconds=0.8,
                             passed=False, checks=13, failures=9,
                             shrink_evals=17),
@@ -140,6 +190,8 @@ class TestWireForm:
     def test_foreign_version_is_skipped(self):
         wire = to_wire(MetricSample(name="x", value=1.0))
         wire["v"] = EVENT_SCHEMA_VERSION + 1
+        assert event_from_wire(wire) is None
+        wire["v"] = 1  # the retired pre-span schema
         assert event_from_wire(wire) is None
 
     def test_unknown_fields_of_known_kind_are_ignored(self):
@@ -193,7 +245,10 @@ class TestForwarding:
         assert isinstance(result, ForwardedResult)
         assert result.result == 42
         assert result.events == []  # emitted live, nothing buffered
-        assert [event.name for event in seen] == ["inner"]
+        # The job's own span closes after what the job emitted.
+        assert [event.name for event in seen] == ["inner", "job"]
+        assert seen[-1].category == "cell"
+        assert seen[-1].worker == os.getpid()
 
     def test_in_worker_buffers_even_with_inherited_bus(self):
         # Simulate a forked worker: the parent's live bus object is
@@ -210,7 +265,7 @@ class TestForwarding:
             wrapped = EventForwardingCall(fn, parent_pid=os.getpid() + 1)
             result = wrapped(7)
         assert result.result == 7
-        assert [event.name for event in result.events] == ["inner"]
+        assert [event.name for event in result.events] == ["inner", "job"]
         assert parent_subscribers == []  # parent saw nothing in-worker
 
     def test_replay_forwarded_restamps_on_parent_bus(self):
@@ -238,7 +293,8 @@ class TestForwarding:
             with ProcessPoolScheduler(jobs=2) as scheduler:
                 results = scheduler.map(_square_and_emit, calls)
         assert results == [item * item for item in calls]
-        samples = [event for event in seen if event.name == "job"]
+        samples = [event for event in seen
+                   if isinstance(event, MetricSample)]
         # Ordered: submission order, re-stamped monotonically.
         assert [event.value for event in samples] == [float(i) for i in calls]
         seqs = [event.seq for event in samples]
@@ -249,22 +305,28 @@ class TestConsumerSubscribers:
     def test_tracer_subscriber_emits_instants(self):
         tracer = ChromeTracer()
         bus = EventBus()
-        bus.subscribe(TracerSubscriber(tracer))
+        bus.subscribe(tracer)
         bus.emit(RunStarted(benchmark="cde", mode="evr", frames=4))
+        # A metric sample's ``name`` field must not clash with the
+        # instant's own name.
+        bus.emit(MetricSample(name="suite.progress", value=0.5))
         instants = [e for e in tracer.events if e.get("ph") == "i"]
-        assert len(instants) == 1
-        assert instants[0]["name"] == "run-started"
+        assert [e["name"] for e in instants] == ["run-started",
+                                                 "metric-sample"]
         assert instants[0]["args"]["benchmark"] == "cde"
+        assert instants[1]["args"] == {"name": "suite.progress",
+                                       "value": 0.5, "seq": 2}
+        assert bus.emitted == 2 and tracer in bus._subscribers
 
     def test_metrics_subscriber_counts_and_observes(self):
         registry = MetricsRegistry()
         bus = EventBus()
         bus.subscribe(MetricsSubscriber(registry))
-        bus.emit(PhaseCompleted(phase="raster", frame=0, seconds=0.25))
-        bus.emit(PhaseCompleted(phase="raster", frame=1, seconds=0.75))
+        bus.emit(Span("raster", "phase", 0.0, 0.25, args={"frame": 0}))
+        bus.emit(Span("raster", "phase", 1.0, 1.75, args={"frame": 1}))
         bus.emit(MetricSample(name="suite.progress", value=0.5))
         snapshot = registry.as_dict()
-        assert snapshot["counters"]["events.phase-completed"] == 2
+        assert snapshot["counters"]["events.span"] == 2
         assert snapshot["counters"]["events.metric-sample"] == 1
         histogram = snapshot["histograms"]["events.phase_seconds.raster"]
         assert histogram["count"] == 2 and histogram["sum"] == 1.0
@@ -299,8 +361,7 @@ class TestBitIdentity:
         registry = MetricsRegistry()
         writer = JsonlEventWriter(str(tmp_path / "events.jsonl"))
         observed = _render(config, subscribers=(
-            sink.append, writer, TracerSubscriber(tracer),
-            MetricsSubscriber(registry),
+            sink.append, writer, tracer, MetricsSubscriber(registry),
         ))
         writer.close()
         assert dataclasses.asdict(observed) == dataclasses.asdict(bare)
@@ -317,8 +378,11 @@ class TestBitIdentity:
                                subscribers=(sink.append, writer))
         writer.close()
         assert dataclasses.asdict(observed) == dataclasses.asdict(bare)
-        kinds = {event.kind for event in sink}
-        assert "tile-job-finished" in kinds and "phase-completed" in kinds
+        categories = {event.category for event in sink
+                      if isinstance(event, Span)}
+        assert {"tile", "phase", "scheduler"} <= categories
+        assert any(event.worker != os.getpid() for event in sink
+                   if isinstance(event, Span) and event.category == "tile")
 
     def test_fuzz_identity_across_seeds(self):
         # Fuzz over benchmark/frame-count variations: bus-on always

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness.runner import RunMetrics
-from repro.obs.events import EventBus, PhaseCompleted, RunStarted
+from repro.obs.events import EventBus, RunStarted, Span
 from repro.obs.ledger import (
     DEFAULT_LEDGER_DIR,
     PhaseAccumulator,
@@ -204,11 +204,12 @@ class TestPhaseAccumulator:
         accumulator = PhaseAccumulator()
         bus.subscribe(accumulator)
         bus.emit(RunStarted(benchmark="hop", mode="evr", frames=2))
-        bus.emit(PhaseCompleted(phase="geometry", frame=0, seconds=0.1))
-        bus.emit(PhaseCompleted(phase="raster", frame=0, seconds=0.4))
-        bus.emit(PhaseCompleted(phase="raster", frame=1, seconds=0.6))
+        bus.emit(Span("geometry", "phase", 0.0, 0.1))
+        bus.emit(Span("raster", "phase", 0.1, 0.5))
+        bus.emit(Span("execute", "raster", 1.0, 1.5))  # not a phase
+        bus.emit(Span("raster", "phase", 1.0, 1.6))
         bus.emit(RunStarted(benchmark="hop", mode="re", frames=2))
-        bus.emit(PhaseCompleted(phase="raster", frame=0, seconds=9.0))
+        bus.emit(Span("raster", "phase", 2.0, 11.0))
         evr = accumulator.for_cell("hop", "evr")
         assert evr["geometry"] == pytest.approx(0.1)
         assert evr["raster"] == pytest.approx(1.0)
@@ -218,7 +219,7 @@ class TestPhaseAccumulator:
 
     def test_phases_before_any_run_are_dropped(self):
         accumulator = PhaseAccumulator()
-        accumulator(PhaseCompleted(phase="raster", frame=0, seconds=1.0))
+        accumulator(Span("raster", "phase", 0.0, 1.0))
         assert accumulator.phases == {}
 
 

@@ -7,6 +7,7 @@ replays those cells *bit-identically* while recomputing only the rest.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -142,6 +143,54 @@ class TestSuiteRunnerResume:
             runner.run_many(["hop"], [PipelineMode.BASELINE])
             assert runner.journal_hits == 0
             assert runner.cache_misses == 1
+
+    @pytest.mark.parametrize("observed", [False, True],
+                             ids=["bare", "observed"])
+    def test_serial_sweep_checkpoints_each_cell(self, tmp_path, monkeypatch,
+                                                observed):
+        # A plain jobs=1 sweep (no supervision) whose second cell raises
+        # keeps the first cell in the journal and the disk cache, and has
+        # reported its progress.
+        import repro.harness.runner as runner_module
+        from repro.obs.events import MetricSample, subscribed
+
+        real = runner_module.run_benchmark
+        calls = []
+
+        def second_cell_dies(benchmark, mode, **kwargs):
+            calls.append(mode)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return real(benchmark, mode, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_benchmark", second_cell_dies)
+        samples = []
+        cache_dir = str(tmp_path / "cache")
+        journal_dir = str(tmp_path / "journal")
+        modes = [PipelineMode.BASELINE, PipelineMode.EVR]
+        with contextlib.ExitStack() as stack:
+            if observed:
+                stack.enter_context(subscribed(samples.append))
+            runner = stack.enter_context(SuiteRunner(
+                CONFIG, jobs=1, cache_dir=cache_dir, journal_dir=journal_dir))
+            with pytest.raises(RuntimeError, match="interrupted"):
+                runner.run_many(["hop"], modes)
+        assert len(calls) == 2
+        if observed:
+            progress = [e.value for e in samples
+                        if isinstance(e, MetricSample)]
+            assert progress == [0.5]
+        monkeypatch.setattr(runner_module, "run_benchmark", real)
+
+        with SuiteRunner(CONFIG, jobs=1, journal_dir=journal_dir,
+                         resume=True) as runner:
+            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            assert runner.journal_hits == 1
+            assert runner.cache_misses == 0
+        with SuiteRunner(CONFIG, jobs=1, cache_dir=cache_dir) as runner:
+            runner.run_many(["hop"], [PipelineMode.BASELINE])
+            assert runner.cache_hits == 1
+            assert runner.cache_misses == 0
 
     def test_config_change_invalidates_journal(self, tmp_path):
         with self._runner(tmp_path, resume=False) as runner:

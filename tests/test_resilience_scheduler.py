@@ -274,5 +274,4 @@ class TestLifecycle:
         with ProcessPoolScheduler(3) as pool:
             scheduler = ResilientScheduler(pool, policy=FAST)
             assert scheduler.jobs == 3
-            assert scheduler.profiler is None
             assert "ResilientScheduler" in repr(scheduler)
