@@ -20,10 +20,10 @@ from repro import (
     FrameStream,
     GPU,
     GPUConfig,
-    PipelineMode,
     RenderState,
     ShaderProfile,
 )
+from repro.techniques import EVR
 from repro.geom import box_mesh, grid_mesh, screen_quad
 from repro.imageio import write_ppm
 from repro.math3d import (
@@ -87,7 +87,7 @@ def main() -> None:
     config = GPUConfig.default(frames=6)
     stream = FrameStream(lambda i: build_frame(config, i), config.frames)
 
-    gpu = GPU(config, PipelineMode.EVR)
+    gpu = GPU(config, EVR)
     result = gpu.render_stream(stream)
 
     for frame_result in result.frames:

@@ -47,12 +47,13 @@ Resilience (see :mod:`repro.resilience`): ``--retries N`` /
 deterministic backoff, per-job timeouts and broken-pool recovery under
 ``--jobs``), and ``--inject-faults SPEC`` (or ``$REPRO_FAULTS``) with
 ``--fault-seed`` exercises those paths deterministically.  ``figure``
-and ``report`` additionally checkpoint every finished (benchmark, mode)
-cell to a journal in the cache directory; ``--resume`` replays it so an
-interrupted sweep recomputes only unfinished cells, and ``--strict``
-turns permanently failed cells into a non-zero exit (the default is
-graceful degradation: the sweep completes with failed cells rendered as
-``nan``).
+and ``report`` store every finished (benchmark, mode) cell in the run
+cache as it settles, and a cache put is durable, so rerunning an
+interrupted sweep recomputes only unfinished and failed cells.
+``--resume`` is accepted for compatibility and selects nothing.
+``--strict`` turns permanently failed cells into a non-zero exit (the
+default is graceful degradation: the sweep completes with failed cells
+rendered as ``nan``).
 
 Observability (see :mod:`repro.obs`): every subcommand takes ``-v`` /
 ``--verbose`` and ``-q`` / ``--quiet`` *after* the subcommand name;
@@ -281,9 +282,8 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser,
 
     ``--strict`` is available everywhere and always resolves to the one
     ``resilience.strict`` spec field (one exit-code contract: 0 clean,
-    1 failure/violation, 2 usage error); ``suite`` adds only the
-    checkpoint-journal flag that is meaningless outside suite sweeps
-    (``figure``, ``report``).
+    1 failure/violation, 2 usage error); ``suite`` adds ``--resume``,
+    which only suite sweeps (``figure``, ``report``) accept.
     """
     parser.add_argument(
         "--inject-faults", default=None, metavar="SPEC",
@@ -314,8 +314,8 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser,
     if suite:
         parser.add_argument(
             "--resume", action="store_true",
-            help="replay completed (benchmark, mode) cells from the "
-                 "checkpoint journal instead of recomputing them",
+            help="accepted for compatibility; finished (benchmark, mode) "
+                 "cells are always reused from the run cache",
         )
 
 
@@ -391,9 +391,9 @@ def _report_failures(runner: SuiteRunner, out: Output,
     if not runner.failures:
         return 0
     for (benchmark, mode), failure in sorted(
-        runner.failures.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
+        runner.failures.items(), key=lambda kv: (kv[0][0], kv[0][1].name)
     ):
-        out.result(f"FAILED {benchmark}:{mode.value} "
+        out.result(f"FAILED {benchmark}:{mode.name} "
                    f"after {failure.attempts} attempt(s): {failure.message}")
     out.result(f"{len(runner.failures)} suite cell(s) failed permanently"
                + ("" if strict else " (exit 0; use --strict to fail)"))
@@ -482,11 +482,11 @@ def _ledger_record_suite(spec: RunSpec, runner: SuiteRunner,
     appended = 0
     for (benchmark, mode), metrics in sorted(
         runner.results().items(),
-        key=lambda kv: (kv[0][0], kv[0][1].value),
+        key=lambda kv: (kv[0][0], kv[0][1].name),
     ):
         if ledger.record_run(
             spec.spec_hash(), metrics,
-            phases=session.phases_for(benchmark, mode.value),
+            phases=session.phases_for(benchmark, mode.name),
             source=source,
         ) is not None:
             appended += 1
@@ -581,7 +581,7 @@ def _command_run(args: argparse.Namespace) -> int:
                     metrics: Optional[RunMetrics] = None
                     key = ""
                     if disk is not None:
-                        key = run_cache_key(spec, benchmark, mode.value)
+                        key = run_cache_key(spec, benchmark, mode.name)
                         value = disk.get(key)
                         if isinstance(value, RunMetrics):
                             metrics = value
@@ -591,28 +591,28 @@ def _command_run(args: argparse.Namespace) -> int:
                             cache_misses += 1
                         if stream is None:
                             stream = benchmark_stream(benchmark, config)
-                        out.detail(f"simulating {benchmark}:{mode.value} "
+                        out.detail(f"simulating {benchmark}:{mode.name} "
                                    f"({config.frames} frames, {scheduler!r})")
-                        with run_span(benchmark, mode.value,
+                        with run_span(benchmark, mode.name,
                                       config.frames):
                             result = GPU.from_spec(
                                 spec, mode, scheduler=scheduler
                             ).render_stream(stream)
                         if args.csv:
                             path = (f"{args.csv.rstrip('.csv')}"
-                                    f"_{mode.value}.csv")
+                                    f"_{mode.name}.csv")
                             write_csv(frame_series(result), path)
                             out.info(f"per-frame series -> {path}")
                         if spec.obs.metrics:
                             records.extend(
-                                frame_record(benchmark, mode.value, frame,
+                                frame_record(benchmark, mode.name, frame,
                                              result.cost_model,
                                              result.energy_model,
                                              result.features)
                                 for frame in result.frames
                             )
                             records.append(
-                                run_record(benchmark, mode.value, result)
+                                run_record(benchmark, mode.name, result)
                             )
                         metrics = metrics_from_result(benchmark, mode,
                                                       result)
@@ -620,13 +620,13 @@ def _command_run(args: argparse.Namespace) -> int:
                             disk.put(key, metrics)
                     if ledger.record_run(
                         spec.spec_hash(), metrics,
-                        phases=session.phases_for(benchmark, mode.value),
+                        phases=session.phases_for(benchmark, mode.name),
                     ) is not None:
                         ledger_entries += 1
                     if baseline_cycles is None:
                         baseline_cycles = metrics.total_cycles
                     rows.append([
-                        mode.value,
+                        mode.name,
                         round(metrics.geometry_cycles),
                         round(metrics.raster_cycles),
                         metrics.total_cycles / baseline_cycles,
@@ -663,8 +663,7 @@ def _command_figure(args: argparse.Namespace) -> int:
     global_registry().reset()
     with _observe(spec.obs, out) as session:
         with SuiteRunner(spec=spec,
-                         cache_dir=default_cache_dir(),
-                         journal_dir=default_cache_dir()) as runner:
+                         cache_dir=default_cache_dir()) as runner:
             subset = list(spec.workload.benchmarks) or None
             result = _FIGURES[args.figure](runner, subset)
             out.result(result.render())
@@ -704,8 +703,7 @@ def _command_report(args: argparse.Namespace) -> int:
     global_registry().reset()
     with _observe(spec.obs, out) as session:
         with SuiteRunner(spec=spec,
-                         cache_dir=default_cache_dir(),
-                         journal_dir=default_cache_dir()) as runner:
+                         cache_dir=default_cache_dir()) as runner:
             report = render_report(runner)
             summary = runner.cache_summary()
             records = (runner.metrics_records() if spec.obs.metrics else [])
@@ -733,7 +731,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     global_registry().reset()
     with _observe(spec.obs, out, profile=True) as session:
         with make_scheduler(spec.scheduler.jobs) as scheduler:
-            with run_span(args.benchmark, mode.value, config.frames):
+            with run_span(args.benchmark, mode.name, config.frames):
                 stream = benchmark_stream(args.benchmark, config)
                 GPU.from_spec(spec, mode,
                               scheduler=scheduler).render_stream(stream)
@@ -745,7 +743,7 @@ def _command_profile(args: argparse.Namespace) -> int:
     ]
     out.result(format_table(
         ["span", "count", "total ms", "mean ms"], phase_rows,
-        title=f"phase breakdown: {args.benchmark}:{mode.value} @ "
+        title=f"phase breakdown: {args.benchmark}:{mode.name} @ "
               f"{config.screen_width}x{config.screen_height}, "
               f"{config.frames} frames",
     ))

@@ -17,6 +17,11 @@ bad entry is no longer silently unlinked: it is moved into a
 ``quarantine/`` subdirectory for post-mortem and a warning naming the
 key is logged through :mod:`repro.obs.log`.
 
+Entries are also durable: ``put`` fsyncs the entry and its directory,
+so the cache doubles as the checkpoint store of suite sweeps.  A sweep
+stores each cell as it settles, and a rerun after a crash or SIGKILL
+gets every finished cell back as a hit.
+
 Cache traffic is observable: ``get``/``put`` increment the
 ``cache.hits`` / ``cache.misses`` / ``cache.evictions`` / ``cache.puts``
 / ``cache.quarantined`` counters in the process-wide metrics registry
@@ -143,12 +148,26 @@ def _decode_entry(blob: bytes) -> bytes:
     return payload
 
 
+def _fsync_directory(directory: str) -> None:
+    """Make a rename inside ``directory`` durable (POSIX); platforms
+    that cannot open a directory for reading skip this step."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class DiskCache:
     """A tiny content-addressed pickle store with verified entries.
 
-    Entries are written atomically (temp file + rename) so a crashed or
-    parallel writer can only ever leave a complete entry or none; reads
-    verify the integrity trailer before unpickling.
+    Entries are written atomically and durably (fsynced temp file +
+    rename + directory fsync) so a crashed or parallel writer can only
+    ever leave a complete entry or none, and a stored entry outlives the
+    process; reads verify the integrity trailer before unpickling.
     """
 
     def __init__(self, directory: str):
@@ -207,7 +226,12 @@ class DiskCache:
             return value
 
     def put(self, key: str, value: Any) -> None:
-        """Store ``value`` under ``key`` atomically."""
+        """Store ``value`` under ``key`` atomically and durably.
+
+        The entry is fsynced before the rename and the directory after
+        it, so once ``put`` returns the entry survives a SIGKILL or a
+        power cut, and a rerun of an interrupted sweep finds it.
+        """
         os.makedirs(self.directory, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp_", suffix=".pkl"
@@ -218,6 +242,8 @@ class DiskCache:
                     handle.write(_encode_entry(
                         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
                     ))
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 os.replace(tmp_path, self.path_for(key))
             except BaseException:
                 try:
@@ -225,6 +251,7 @@ class DiskCache:
                 except OSError:
                     pass
                 raise
+            _fsync_directory(self.directory)
         global_registry().counter("cache.puts").inc()
 
     def _quarantine(self, key: str, path: str, reason: str) -> None:

@@ -51,7 +51,7 @@ def pipeline_balance_report(
             ])
     return ExperimentResult(
         "Analysis",
-        f"Pipeline balance under {mode.value}: bottleneck stage and "
+        f"Pipeline balance under {mode.name}: bottleneck stage and "
         "queue-mediated overlap",
         ["benchmark", "pipeline", "bottleneck", "bottleneck cycles",
          "pipelined cycles", "pipelined/additive"],

@@ -123,7 +123,7 @@ def figure6_energy(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR])
+    runner.run_many(names, [BASELINE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -159,7 +159,7 @@ def figure7_time(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR])
+    runner.run_many(names, [BASELINE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -194,7 +194,7 @@ def figure8_overshading(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names("3D"))
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, EVR_REORDER_ONLY, ORACLE])
+    runner.run_many(names, [BASELINE, EVR_REORDER_ONLY, ORACLE])
     rows: List[List[object]] = []
     reductions: List[float] = []
     for name in names:
@@ -228,7 +228,7 @@ def figure9_redundant_tiles(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [RE, EVR, ORACLE])
+    runner.run_many(names, [RE, EVR, ORACLE])
     rows: List[List[object]] = []
     re_rates: List[float] = []
     evr_rates: List[float] = []
@@ -267,7 +267,7 @@ def figure10_energy_vs_re(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [RE, EVR])
+    runner.run_many(names, [RE, EVR])
     rows: List[List[object]] = []
     normalized: List[float] = []
     for name in names:
@@ -295,7 +295,7 @@ def figure11_time_vs_re(runner: Optional[SuiteRunner] = None,
     runner = runner or _default_runner()
     names = list(benchmarks or benchmark_names())
     # One fan-out for every run this figure needs (parallel under --jobs).
-    runner.prefetch(names, [BASELINE, RE, EVR])
+    runner.run_many(names, [BASELINE, RE, EVR])
     rows: List[List[object]] = []
     re_norms: List[float] = []
     evr_norms: List[float] = []

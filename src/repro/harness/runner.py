@@ -17,12 +17,15 @@ top of each other:
   independent (benchmark, mode) simulations of a suite sweep run in
   parallel (``--jobs N`` / ``REPRO_JOBS``).
 
+Each cell is stored in the disk cache as it settles, and a cache put is
+durable, so the cache is also the checkpoint store: rerunning an
+interrupted sweep recomputes only the cells that had not finished.
+
 When a retry policy or fault plan is armed (``--retries``,
 ``--job-timeout``, ``--inject-faults``) the fan-out additionally runs
-under a :class:`~repro.resilience.ResilientScheduler`, each settled cell
-is checkpointed to a crash-durable :class:`~repro.resilience.RunJournal`
-(``--resume`` replays it), and permanently failed cells degrade to NaN
-placeholders instead of aborting the sweep.
+under a :class:`~repro.resilience.ResilientScheduler`, and permanently
+failed cells degrade to NaN placeholders instead of aborting the sweep.
+Failed cells are never cached, so a rerun retries them.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..config import GPUConfig
 from ..engine.diskcache import DiskCache, run_cache_key
 from ..engine.scheduler import Scheduler, make_scheduler
-from ..errors import ConfigError
 from ..obs.events import MetricSample, get_bus, run_span, span
 from ..pipeline import GPU, RunResult
 from ..resilience import (
@@ -42,7 +44,6 @@ from ..resilience import (
     JobFailure,
     ResilientScheduler,
     RetryPolicy,
-    RunJournal,
 )
 from ..scenes import benchmark_names, benchmark_stream
 from ..spec import RunSpec
@@ -64,7 +65,7 @@ class RunMetrics:
 
     Attributes:
         benchmark: benchmark alias.
-        mode: pipeline mode value string.
+        mode: registered technique name.
         geometry_cycles: steady-state Geometry Pipeline cycles.
         raster_cycles: steady-state Raster Pipeline cycles.
         energy_joules: total steady-state energy.
@@ -111,7 +112,7 @@ def failed_metrics(benchmark: str, mode: Technique,
     nan = float("nan")
     return RunMetrics(
         benchmark=benchmark,
-        mode=mode.value,
+        mode=mode.name,
         geometry_cycles=nan,
         raster_cycles=nan,
         energy_joules=nan,
@@ -133,7 +134,7 @@ def metrics_from_result(benchmark: str, mode: Technique,
     stats = result.total_stats()
     return RunMetrics(
         benchmark=benchmark,
-        mode=mode.value,
+        mode=mode.name,
         geometry_cycles=cycles.geometry,
         raster_cycles=cycles.raster,
         energy_joules=energy.total,
@@ -146,7 +147,7 @@ def metrics_from_result(benchmark: str, mode: Technique,
             if stats.predictions_made
             else 0.0
         ),
-        extra=metric_extras(mode.value, result),
+        extra=metric_extras(mode.name, result),
     )
 
 
@@ -171,7 +172,7 @@ def run_benchmark(
     if spec is None:
         spec = RunSpec.from_config(config or GPUConfig.default())
     config = config or spec.gpu
-    with run_span(benchmark, mode.value,
+    with run_span(benchmark, mode.name,
                   frames if frames is not None else config.frames):
         stream = benchmark_stream(benchmark, config, frames)
         gpu = GPU.from_spec(spec, mode, scheduler=scheduler, config=config)
@@ -191,8 +192,8 @@ class SuiteRunner:
     """Memoizing runner shared by all experiment functions.
 
     The runner's identity is a :class:`~repro.spec.RunSpec`: disk-cache
-    and journal keys derive from ``spec.spec_hash()`` plus the simulator
-    code version, and execution policy (jobs, retries, faults, resume)
+    keys derive from ``spec.spec_hash()`` plus the simulator code
+    version, and execution policy (jobs, retries, faults, strict)
     defaults from the spec's scheduler/resilience sections.  The legacy
     keyword arguments still work — they are folded into an equivalent
     spec — and explicit keywords win over the spec's sections.
@@ -204,7 +205,8 @@ class SuiteRunner:
             (``benchmark_stream`` reads the count from there).
         jobs: worker processes for suite-level fan-out; ``None``/1 runs
             serially, exactly as before.
-        cache_dir: directory of the persistent run cache; ``None``
+        cache_dir: directory of the persistent run cache, which is also
+            the checkpoint store of interrupted sweeps; ``None``
             disables disk caching (the in-memory memo always applies).
         retry_policy: arming this (or ``fault_plan``) routes the suite
             fan-out through a :class:`~repro.resilience.ResilientScheduler`
@@ -213,10 +215,6 @@ class SuiteRunner:
             historical fail-fast behaviour bit-for-bit.
         fault_plan: deterministic fault injection for the suite jobs
             (``--inject-faults``); implies a default retry policy.
-        journal_dir: directory for the crash-durable checkpoint journal;
-            ``None`` disables journaling.
-        resume: replay completed cells from the journal before running
-            (``--resume``); ignored when ``journal_dir`` is None.
         strict: when True the caller is expected to exit non-zero if
             :attr:`failures` is non-empty; the runner itself always
             completes the sweep either way.
@@ -230,8 +228,6 @@ class SuiteRunner:
                  cache_dir: Optional[str] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 journal_dir: Optional[str] = None,
-                 resume: bool = False,
                  strict: bool = False,
                  spec: Optional[RunSpec] = None):
         if spec is None:
@@ -252,20 +248,12 @@ class SuiteRunner:
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.strict = strict or spec.resilience.strict
-        resume = resume or spec.resilience.resume
         self._cache: Dict[Tuple[str, Technique], RunMetrics] = {}
         self._disk = DiskCache(cache_dir) if cache_dir else None
         self._scheduler: Optional[Scheduler] = None
         self.cache_hits = 0
         self.cache_misses = 0
-        self.journal_hits = 0
         self.failures: Dict[Tuple[str, Technique], JobFailure] = {}
-        self._journal: Optional[RunJournal] = None
-        if journal_dir:
-            self._journal = RunJournal.for_spec(journal_dir, spec)
-            if resume:
-                self._replay_journal()
-            self._journal.open(fresh=not resume)
 
     @property
     def resilient(self) -> bool:
@@ -287,12 +275,10 @@ class SuiteRunner:
         return self._scheduler
 
     def close(self) -> None:
-        """Release pooled workers and the journal (idempotent)."""
+        """Release pooled workers (idempotent)."""
         if self._scheduler is not None:
             self._scheduler.close()
             self._scheduler = None
-        if self._journal is not None:
-            self._journal.close()
 
     def __enter__(self) -> "SuiteRunner":
         return self
@@ -300,26 +286,10 @@ class SuiteRunner:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- checkpoint journal --------------------------------------------------
-
-    def _replay_journal(self) -> None:
-        """Seed the in-memory memo from the journal's completed cells."""
-        assert self._journal is not None
-        for (benchmark, mode_value), entry in self._journal.load().items():
-            if entry.get("status") != "ok":
-                continue  # failed cells are retried on resume
-            try:
-                mode = resolve_technique(mode_value)
-                metrics = RunMetrics(**entry["metrics"])
-            except (KeyError, TypeError, ValueError, ConfigError):
-                continue  # journal written by an incompatible layout
-            self._cache[(benchmark, mode)] = metrics
-            self.journal_hits += 1
-
     # -- disk cache ---------------------------------------------------------
 
     def _disk_key(self, benchmark: str, mode: Technique) -> str:
-        return run_cache_key(self.spec, benchmark, mode.value)
+        return run_cache_key(self.spec, benchmark, mode.name)
 
     def _load_cached(self, benchmark: str,
                      mode: Technique) -> Optional[RunMetrics]:
@@ -332,13 +302,10 @@ class SuiteRunner:
         return None
 
     def _store(self, key: Tuple[str, Technique],
-               metrics: RunMetrics, to_disk: bool) -> None:
+               metrics: RunMetrics) -> None:
         self._cache[key] = metrics
-        if to_disk and self._disk is not None:
+        if self._disk is not None:
             self._disk.put(self._disk_key(*key), metrics)
-        if to_disk and self._journal is not None:
-            self._journal.record_ok(key[0], key[1].value,
-                                    dataclasses.asdict(metrics))
 
     def _record_failure(self, key: Tuple[str, Technique],
                         failure: JobFailure) -> None:
@@ -347,9 +314,6 @@ class SuiteRunner:
         exit at the CLI layer."""
         self.failures[key] = failure
         self._cache[key] = failed_metrics(key[0], key[1], failure.message)
-        if self._journal is not None:
-            self._journal.record_failed(key[0], key[1].value,
-                                        failure.message)
 
     def cache_summary(self) -> str:
         """One-line disk-cache report for script output."""
@@ -359,8 +323,6 @@ class SuiteRunner:
             summary = (f"run cache: {self.cache_hits} hits, "
                        f"{self.cache_misses} misses "
                        f"({self._disk.directory})")
-        if self.journal_hits:
-            summary += f"; journal: {self.journal_hits} cells resumed"
         if self.failures:
             summary += f"; {len(self.failures)} cells FAILED"
         return summary
@@ -377,7 +339,7 @@ class SuiteRunner:
             {"record": "suite-run", **dataclasses.asdict(metrics)}
             for (_, _), metrics in sorted(
                 self._cache.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].value),
+                key=lambda kv: (kv[0][0], kv[0][1].name),
             )
         ]
         records.append({
@@ -386,10 +348,9 @@ class SuiteRunner:
             "jobs": self.jobs,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "journal_hits": self.journal_hits,
             "failures": len(self.failures),
             "failed_cells": sorted(
-                f"{benchmark}:{mode.value}"
+                f"{benchmark}:{mode.name}"
                 for benchmark, mode in self.failures
             ),
         })
@@ -406,11 +367,8 @@ class SuiteRunner:
                 self._cache[key] = cached
             else:
                 self.cache_misses += 1
-                self._store(
-                    key,
-                    run_benchmark(benchmark, mode, spec=self.spec),
-                    to_disk=True,
-                )
+                self._store(key,
+                            run_benchmark(benchmark, mode, spec=self.spec))
         return self._cache[key]
 
     def run_many(
@@ -439,8 +397,8 @@ class SuiteRunner:
             ]
             settled = 0
 
-            # Each cell is stored (disk cache and journal) and reported
-            # as it settles, so an interrupted sweep keeps every cell
+            # Each cell is stored in the disk cache and reported as it
+            # settles, so an interrupted sweep keeps every cell
             # finished before the interruption.  Under supervision a
             # permanently failed cell becomes a NaN placeholder instead
             # of aborting the sweep.
@@ -449,7 +407,7 @@ class SuiteRunner:
                 if isinstance(value, JobFailure):
                     self._record_failure(missing[index], value)
                 else:
-                    self._store(missing[index], value, to_disk=True)
+                    self._store(missing[index], value)
                 settled += 1
                 bus = get_bus()
                 if bus.enabled:
@@ -465,12 +423,9 @@ class SuiteRunner:
                     scheduler.map(_run_pair, payloads, on_result=_settle)
 
         return {
-            (benchmark, mode.value): self._cache[(benchmark, mode)]
+            (benchmark, mode.name): self._cache[(benchmark, mode)]
             for benchmark, mode in pairs
         }
-
-    # Alias that reads naturally at figure-function call sites.
-    prefetch = run_many
 
 
 def run_suite(

@@ -425,8 +425,7 @@ def job_label(item: Any) -> Tuple[str, str]:
     if tile is not None:
         return f"tile {tile}", TILE_JOB
     if isinstance(item, tuple) and len(item) >= 2:
-        mode = getattr(item[1], "value", item[1])
-        return f"{item[0]}:{mode}", CELL_JOB
+        return f"{item[0]}:{item[1]}", CELL_JOB
     return "job", CELL_JOB
 
 

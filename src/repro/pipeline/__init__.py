@@ -12,14 +12,13 @@
 """
 
 from .rasterizer import FragmentBatch, rasterize_in_tile
-from .features import PipelineFeatures, PipelineMode
+from .features import PipelineFeatures
 from .gpu import GPU, FrameResult, RunResult
 
 __all__ = [
     "FragmentBatch",
     "rasterize_in_tile",
     "PipelineFeatures",
-    "PipelineMode",
     "GPU",
     "FrameResult",
     "RunResult",

@@ -29,10 +29,10 @@ from ..kernels import normalize_backend
 from ..memsys import create_memory_system
 from ..obs.events import cache_ops_of, span
 from ..techniques.dsr import DSRController
-from ..techniques.registry import resolve_features
+from ..techniques.registry import Technique, resolve_features
 from ..timing import CostModel, CostParameters, FrameStats, StatsAccumulator
 from ..energy import EnergyBreakdown, EnergyModel, EnergyParameters
-from .features import PipelineFeatures, PipelineMode
+from .features import PipelineFeatures
 from .geometry import GeometryPipeline
 from .raster import RasterPipeline
 
@@ -190,7 +190,7 @@ class GPU:
     def __init__(
         self,
         config: GPUConfig,
-        features: Union[PipelineFeatures, PipelineMode, str] = "baseline",
+        features: Union[PipelineFeatures, Technique, str] = "baseline",
         cost_params: CostParameters = CostParameters(),
         energy_params: EnergyParameters = EnergyParameters(),
         scheduler: Optional[Scheduler] = None,
@@ -198,7 +198,7 @@ class GPU:
         memory_system=None,
     ):
         # ``features`` accepts raw flags, a registered technique name
-        # (or alias), a Technique descriptor or the legacy PipelineMode.
+        # (or alias) or a Technique descriptor.
         features = resolve_features(features)
         self.config = config
         self.features = features
@@ -260,7 +260,7 @@ class GPU:
     def from_spec(
         cls,
         spec,
-        mode: Union[PipelineFeatures, PipelineMode, str] = "baseline",
+        mode: Union[PipelineFeatures, Technique, str] = "baseline",
         scheduler: Optional[Scheduler] = None,
         config: Optional[GPUConfig] = None,
     ) -> "GPU":

@@ -1,4 +1,4 @@
-"""Fault-tolerant execution: fault injection, retries, checkpoint/resume.
+"""Fault-tolerant execution: fault injection, retries, degradation.
 
 This package layers recovery on top of :mod:`repro.engine` without
 changing any simulated result:
@@ -13,8 +13,12 @@ changing any simulated result:
 * :mod:`repro.resilience.scheduler` — :class:`ResilientScheduler`, a
   wrapper adding per-job timeouts, bounded retries, broken-pool
   rebuilds and serial-fallback degradation to any scheduler.
-* :mod:`repro.resilience.journal` — :class:`RunJournal`, the
-  crash-durable checkpoint file behind ``--resume``.
+
+Checkpoint/resume needs no module of its own: the run cache
+(:class:`repro.engine.diskcache.DiskCache`) stores each settled cell
+durably as it finishes, so rerunning an interrupted sweep recomputes
+only the unfinished and failed cells.  ``--resume`` (the
+``resilience.resume`` spec field) is still accepted and selects nothing.
 
 The typed failure taxonomy lives in :mod:`repro.errors`
 (:class:`~repro.errors.ResilienceError` and friends); counters and trace
@@ -31,7 +35,6 @@ from .faults import (
     corrupt_pixel,
     stable_unit,
 )
-from .journal import RunJournal
 from .policy import RetryPolicy, backoff_delay
 from .scheduler import JobFailure, ResilientScheduler
 
@@ -44,7 +47,6 @@ __all__ = [
     "JobFailure",
     "ResilientScheduler",
     "RetryPolicy",
-    "RunJournal",
     "ScriptedFaultPlan",
     "backoff_delay",
     "corrupt_pixel",

@@ -34,8 +34,8 @@ Three properties make it the backbone every layer shares:
   ``energy``) over a normalized JSON form.  Execution policy —
   scheduler fan-out, retries, fault injection, observability — is
   deliberately excluded: the engine guarantees those never change a
-  result, so they must never split the cache.  The disk cache and the
-  crash journal key entries by this hash plus the code version.
+  result, so they must never split the cache.  The disk cache keys
+  entries by this hash plus the code version.
 
 Validation is eager: unknown keys, type mismatches and inconsistent
 values raise :class:`repro.errors.SpecError` at resolution time, before
@@ -111,7 +111,7 @@ class WorkloadSpec:
         canonical: List[str] = []
         for mode in self.modes:
             try:
-                canonical.append(get_technique(mode).value)
+                canonical.append(get_technique(mode).name)
             except ConfigError:
                 raise SpecError(
                     f"workload.modes: {unknown_mode_message(mode)}"
@@ -225,6 +225,8 @@ class ResilienceSpec:
     ``retries``/``job_timeout`` as ``None`` with an empty
     ``inject_faults`` leaves the historical fail-fast path armed —
     exactly the disarmed default the resilient scheduler wraps.
+    ``resume`` is kept so existing spec files still load; it selects
+    nothing, because settled cells are always reused from the run cache.
     """
 
     retries: Optional[int] = None
@@ -383,7 +385,7 @@ class RunSpec:
 
         Computed over sorted-key compact JSON of :meth:`identity`, so it
         is stable across processes, platforms and field ordering — the
-        key the disk cache and crash journal build on.
+        key the disk cache builds on.
         """
         canonical = json.dumps(self.identity(), sort_keys=True,
                                separators=(",", ":"))

@@ -1,20 +1,16 @@
-"""The technique registry: the open axis that replaces ``PipelineMode``.
+"""The technique registry: the open mode axis of the simulator.
 
-Historically the mode axis was a closed five-member enum hardcoded in
-nine modules; every rival technique required forking the spec layer, the
-validator, the corpus gate, the harness and the CLI.  This module turns
-the axis into data: a :class:`Technique` is a frozen descriptor (name,
-aliases, feature construction, validation contract, distilled-metric
-contributions) and every former ``PipelineMode`` call site resolves
-names through the registry instead.
+A :class:`Technique` is a frozen descriptor (name, aliases, feature
+construction, validation contract, distilled-metric contributions); the
+spec layer, the validator, the corpus gate, the harness and the CLI all
+resolve mode names through this registry, so a new technique needs no
+fork of any of them.
 
 Design constraints the descriptor honors:
 
-* **Duck-compatible with the old enum.**  ``technique.value`` and
-  ``technique.features()`` mirror ``PipelineMode.value`` /
-  ``PipelineMode.features()``, so cache keys, run-ledger entries, journal
-  rows and check labels are byte-identical for the paper modes and the
-  refactor invalidates nothing.
+* **One name.**  ``technique.name`` is the string in cache keys,
+  run-ledger entries and check labels; it is also what ``str()`` of a
+  technique returns.
 * **Picklable.**  Descriptors ride inside scheduler payloads
   (``SuiteRunner`` fan-out) and must cross process boundaries; they
   therefore carry no callables.  Per-technique metric extractors live in
@@ -99,12 +95,6 @@ class Technique:
                 f"{self.name}: approximate techniques need error_tolerance > 0"
             )
 
-    # -- PipelineMode duck compatibility ---------------------------------
-    @property
-    def value(self) -> str:
-        """The mode string (``PipelineMode.value`` compatibility)."""
-        return self.name
-
     def features(self) -> PipelineFeatures:
         """The feature-flag combination this technique stands for."""
         return self.feature_set
@@ -113,7 +103,7 @@ class Technique:
     def paper(self) -> bool:
         return self.kind == "paper"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.name
 
 
@@ -181,13 +171,12 @@ def unknown_mode_message(name: str) -> str:
 
 
 def resolve_technique(mode: object) -> Technique:
-    """Coerce a Technique / ``PipelineMode`` / name string to a
-    registered :class:`Technique`."""
+    """Coerce a Technique or a name string to a registered
+    :class:`Technique`."""
     if isinstance(mode, Technique):
         return mode
-    value = getattr(mode, "value", mode)
-    if isinstance(value, str):
-        return get_technique(value)
+    if isinstance(mode, str):
+        return get_technique(mode)
     raise ConfigError(f"cannot resolve {mode!r} to a registered technique")
 
 

@@ -83,10 +83,10 @@ class TestPredictionPointFeature:
         assert results["far"] >= results["near"]
 
     def test_aggressive_point_still_renders_correctly(self):
-        from repro.pipeline import PipelineMode
+        from repro.techniques import BASELINE
         config = GPUConfig.tiny(frames=5)
         stream = benchmark_stream("tib", config)
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        baseline = GPU(config, BASELINE).render_stream(stream)
         aggressive = GPU(config, _evr(prediction_point="far")).render_stream(
             stream
         )

@@ -8,8 +8,8 @@ from repro import (
     GPU,
     GPUConfig,
     PipelineFeatures,
-    PipelineMode,
 )
+from repro.techniques import BASELINE, ORACLE
 from repro.harness import culling_alternatives
 from repro.scenes import benchmark_stream
 
@@ -50,14 +50,14 @@ class TestZPrepass:
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
-        oracle = GPU(config, PipelineMode.ORACLE).render_stream(b2f_stream)
+        oracle = GPU(config, ORACLE).render_stream(b2f_stream)
         assert (
             prepass.total_stats(warmup=0).fragments_shaded
             == oracle.total_stats(warmup=0).fragments_shaded
         )
 
     def test_prepass_image_matches_baseline(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
@@ -65,7 +65,7 @@ class TestZPrepass:
             assert np.array_equal(expected.image, actual.image)
 
     def test_prepass_overhead_charged(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         prepass = GPU(config, PipelineFeatures(z_prepass=True)).render_stream(
             b2f_stream
         )
@@ -103,7 +103,7 @@ class TestHierarchicalZ:
         stats = hiz.total_stats(warmup=0)
         assert stats.hiz_culled > 0
         # The far quad never even rasterizes in fully-covered tiles.
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        baseline = GPU(config, BASELINE).render_stream(stream)
         assert (
             stats.primitives_rasterized
             < baseline.total_stats(warmup=0).primitives_rasterized
@@ -116,7 +116,7 @@ class TestHierarchicalZ:
         assert hiz.total_stats(warmup=0).hiz_culled == 0
 
     def test_image_unchanged(self, config, b2f_stream):
-        baseline = GPU(config, PipelineMode.BASELINE).render_stream(b2f_stream)
+        baseline = GPU(config, BASELINE).render_stream(b2f_stream)
         hiz = GPU(config, PipelineFeatures(hierarchical_z=True)).render_stream(
             b2f_stream
         )

@@ -12,7 +12,7 @@ from repro.engine import DiskCache, default_cache_dir
 from repro.engine.diskcache import code_version
 from repro.harness.runner import RunMetrics, SuiteRunner
 from repro.obs.metrics import global_registry
-from repro.pipeline import PipelineMode
+from repro.techniques import BASELINE, EVR
 
 CONFIG = GPUConfig.tiny(frames=2)
 
@@ -50,6 +50,34 @@ class TestDiskCache:
         cache.put(key, [1, 2, 3])  # recompute path stays usable
         assert cache.get(key) == [1, 2, 3]
 
+    def test_put_is_durable(self, tmp_path, monkeypatch):
+        # The entry is fsynced before the rename publishes it, and the
+        # directory after, so a stored cell survives a SIGKILL.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            stat = os.fstat(fd)
+            events.append(("fsync", (stat.st_dev, stat.st_ino)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        cache = DiskCache(str(tmp_path))
+        key = cache.make_key("durable")
+        cache.put(key, {"value": 1})
+        entry, directory = os.stat(cache.path_for(key)), os.stat(tmp_path)
+        assert events == [
+            ("fsync", (entry.st_dev, entry.st_ino)),
+            ("replace", cache.path_for(key)),
+            ("fsync", (directory.st_dev, directory.st_ino)),
+        ]
+        assert cache.get(key) == {"value": 1}
+
     def test_clear(self, tmp_path):
         cache = DiskCache(str(tmp_path))
         for index in range(3):
@@ -71,11 +99,11 @@ class TestDiskCache:
 class TestSuiteRunnerDiskCache:
     def test_second_runner_hits_disk(self, tmp_path):
         with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            first = runner.run("ata", PipelineMode.EVR)
+            first = runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (0, 1)
         # A fresh runner (fresh in-memory memo) must load from disk.
         with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            second = runner.run("ata", PipelineMode.EVR)
+            second = runner.run("ata", EVR)
             assert isinstance(second, RunMetrics)
             assert second == first
             assert (runner.cache_hits, runner.cache_misses) == (1, 0)
@@ -83,15 +111,15 @@ class TestSuiteRunnerDiskCache:
 
     def test_config_change_misses(self, tmp_path):
         with SuiteRunner(CONFIG, cache_dir=str(tmp_path)) as runner:
-            runner.run("ata", PipelineMode.EVR)
+            runner.run("ata", EVR)
         other = GPUConfig.tiny(frames=3)
         with SuiteRunner(other, cache_dir=str(tmp_path)) as runner:
-            runner.run("ata", PipelineMode.EVR)
+            runner.run("ata", EVR)
             assert (runner.cache_hits, runner.cache_misses) == (0, 1)
 
     def test_no_cache_dir_disables_disk(self):
         with SuiteRunner(CONFIG) as runner:
-            runner.run("ata", PipelineMode.BASELINE)
+            runner.run("ata", BASELINE)
             assert runner.cache_summary() == "run cache: disabled"
 
 

@@ -16,7 +16,7 @@ from repro.harness import (
     table3_suite,
 )
 from repro.harness.runner import SuiteRunner, run_suite
-from repro.pipeline import PipelineMode
+from repro.techniques import BASELINE
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ class TestFormatTable:
 
 class TestRunner:
     def test_run_benchmark_metrics(self):
-        metrics = run_benchmark("hop", PipelineMode.BASELINE,
+        metrics = run_benchmark("hop", BASELINE,
                                 GPUConfig.tiny(frames=3))
         assert metrics.benchmark == "hop"
         assert metrics.mode == "baseline"
@@ -50,13 +50,13 @@ class TestRunner:
         assert metrics.redundant_tile_rate == 0.0
 
     def test_suite_runner_memoizes(self, runner):
-        first = runner.run("hop", PipelineMode.BASELINE)
-        second = runner.run("hop", PipelineMode.BASELINE)
+        first = runner.run("hop", BASELINE)
+        second = runner.run("hop", BASELINE)
         assert first is second
 
     def test_run_suite_subset(self):
         results = run_suite(
-            [PipelineMode.BASELINE], GPUConfig.tiny(frames=2),
+            [BASELINE], GPUConfig.tiny(frames=2),
             benchmarks=["hop"],
         )
         assert ("hop", "baseline") in results

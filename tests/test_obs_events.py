@@ -43,7 +43,8 @@ from repro.obs.events import (
     span,
     to_wire,
 )
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
+from repro.techniques import EVR
 from repro.scenes import benchmark_stream
 
 
@@ -153,7 +154,7 @@ class TestSpan:
             tile = 5
 
         assert job_label(Tile()) == ("tile 5", "tile")
-        assert job_label(("hop", PipelineMode.EVR, None)) == ("hop:evr",
+        assert job_label(("hop", EVR, None)) == ("hop:evr",
                                                               "cell")
         assert job_label(3) == ("job", "cell")
 
@@ -342,12 +343,12 @@ def _render(config, scheduler=None, subscribers=()):
         for subscriber in subscribers:
             bus.subscribe(subscriber)
         with publishing(bus):
-            result = GPU(config, PipelineMode.EVR,
+            result = GPU(config, EVR,
                          scheduler=scheduler).render_stream(stream)
     else:
-        result = GPU(config, PipelineMode.EVR,
+        result = GPU(config, EVR,
                      scheduler=scheduler).render_stream(stream)
-    return metrics_from_result("hop", PipelineMode.EVR, result)
+    return metrics_from_result("hop", EVR, result)
 
 
 class TestBitIdentity:
@@ -390,16 +391,16 @@ class TestBitIdentity:
         for benchmark, frames in (("hop", 2), ("cde", 2), ("tib", 3)):
             config = GPUConfig.tiny(frames=frames)
             stream = benchmark_stream(benchmark, config)
-            bare = GPU(config, PipelineMode.EVR).render_stream(stream)
+            bare = GPU(config, EVR).render_stream(stream)
             bus = EventBus()
             bus.subscribe(lambda event: None)
             with publishing(bus):
                 stream = benchmark_stream(benchmark, config)
-                observed = GPU(config, PipelineMode.EVR).render_stream(stream)
-            bare_metrics = metrics_from_result(benchmark, PipelineMode.EVR,
+                observed = GPU(config, EVR).render_stream(stream)
+            bare_metrics = metrics_from_result(benchmark, EVR,
                                                bare)
             observed_metrics = metrics_from_result(benchmark,
-                                                   PipelineMode.EVR,
+                                                   EVR,
                                                    observed)
             assert (dataclasses.asdict(observed_metrics)
                     == dataclasses.asdict(bare_metrics))

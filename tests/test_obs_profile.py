@@ -12,7 +12,8 @@ from repro.engine import ProcessPoolScheduler, SerialScheduler
 from repro.obs import ChromeTracer, SchedulerProfiler, global_registry
 from repro.obs.events import Span, subscribed
 from repro.obs.profile import phase_breakdown
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
+from repro.techniques import EVR
 from repro.scenes import benchmark_stream
 
 CONFIG = GPUConfig.tiny(frames=3)
@@ -20,7 +21,7 @@ CONFIG = GPUConfig.tiny(frames=3)
 
 def _render(scheduler):
     stream = benchmark_stream("hop", CONFIG)
-    gpu = GPU(CONFIG, PipelineMode.EVR, scheduler=scheduler)
+    gpu = GPU(CONFIG, EVR, scheduler=scheduler)
     return gpu.render_stream(stream)
 
 

@@ -23,7 +23,8 @@ from repro.config import GPUConfig
 from repro.obs import NULL_BUS, ChromeTracer, get_bus, span
 from repro.obs.events import Span, subscribed
 from repro.engine import SerialScheduler
-from repro.pipeline import GPU, PipelineMode
+from repro.pipeline import GPU
+from repro.techniques import EVR
 from repro.scenes import benchmark_stream
 
 
@@ -160,7 +161,7 @@ class TestGoldenTrace:
         with subscribed(tracer):
             scheduler = SerialScheduler()
             stream = benchmark_stream("hop", config)
-            GPU(config, PipelineMode.EVR,
+            GPU(config, EVR,
                 scheduler=scheduler).render_stream(stream)
         cls.trace = tracer.export()
         cls.events = cls.trace["traceEvents"]
@@ -232,7 +233,7 @@ class TestGoldenTraceReduce:
         tracer = ChromeTracer()
         with subscribed(tracer):
             stream = benchmark_stream("hop", config)
-            GPU(config, PipelineMode.EVR,
+            GPU(config, EVR,
                 backend=backend).render_stream(stream)
         return tracer.export()["traceEvents"]
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
+from repro.techniques import BASELINE, EVR
 from repro.harness.balance import pipeline_balance_report
 from repro.scenes import benchmark_stream
 from repro.timing import (
@@ -88,15 +89,15 @@ class TestOnRealWorkloads:
         fragments."""
         config = GPUConfig.tiny(frames=3)
         stream = benchmark_stream("tib", config)
-        result = GPU(config, PipelineMode.BASELINE).render_stream(stream)
+        result = GPU(config, BASELINE).render_stream(stream)
         balance = raster_balance(result.total_stats(), config)
         assert balance.bottleneck.name == "fragment-processors"
 
     def test_evr_relieves_the_bottleneck(self):
         config = GPUConfig.tiny(frames=5)
         stream = benchmark_stream("tib", config)
-        base = GPU(config, PipelineMode.BASELINE).render_stream(stream)
-        evr = GPU(config, PipelineMode.EVR).render_stream(stream)
+        base = GPU(config, BASELINE).render_stream(stream)
+        evr = GPU(config, EVR).render_stream(stream)
         base_balance = raster_balance(base.total_stats(), config)
         evr_balance = raster_balance(evr.total_stats(), config)
         assert (

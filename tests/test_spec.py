@@ -19,7 +19,7 @@ from repro.cli import main
 from repro.config import GPUConfig
 from repro.errors import ConfigError, SpecError
 from repro.obs.log import reset_warn_once
-from repro.pipeline import PipelineMode
+from repro.techniques import BASELINE, EVR
 from repro.spec import (
     PRESETS,
     FeatureOverrides,
@@ -182,17 +182,17 @@ class TestValidation:
 class TestFeatureOverrides:
     def test_apply_overrides_mode_features(self):
         overrides = FeatureOverrides(evr_reorder=False)
-        features = overrides.apply(PipelineMode.EVR.features())
+        features = overrides.apply(EVR.features())
         assert features.evr_hardware and not features.evr_reorder
 
     def test_empty_overrides_are_identity(self):
-        features = PipelineMode.EVR.features()
+        features = EVR.features()
         assert FeatureOverrides().apply(features) is features
 
     def test_features_for(self):
         spec = resolve_spec(sets=["features.evr_reorder=false"], env={}).spec
-        assert not spec.features_for(PipelineMode.EVR).evr_reorder
-        assert spec.features_for(PipelineMode.BASELINE).early_z
+        assert not spec.features_for(EVR).evr_reorder
+        assert spec.features_for(BASELINE).early_z
 
     def test_invalid_override_rejected(self):
         with pytest.raises(SpecError):
@@ -415,10 +415,10 @@ class TestRunnerSpecIdentity:
 
         config = GPUConfig.tiny(frames=2)
         with SuiteRunner(config, cache_dir=str(tmp_path)) as runner:
-            legacy = runner.run("hop", PipelineMode.BASELINE)
+            legacy = runner.run("hop", BASELINE)
         spec = RunSpec.from_config(config)
         with SuiteRunner(spec=spec, cache_dir=str(tmp_path)) as runner:
-            from_spec = runner.run("hop", PipelineMode.BASELINE)
+            from_spec = runner.run("hop", BASELINE)
             assert runner.cache_hits == 1
         assert legacy == from_spec
 
@@ -428,11 +428,11 @@ class TestRunnerSpecIdentity:
         config = GPUConfig.tiny(frames=9)
         with SuiteRunner(config, frames=2,
                          cache_dir=str(tmp_path)) as runner:
-            folded = runner.run("hop", PipelineMode.BASELINE)
+            folded = runner.run("hop", BASELINE)
             assert runner.spec.gpu.frames == 2
         with SuiteRunner(GPUConfig.tiny(frames=2),
                          cache_dir=str(tmp_path)) as runner:
-            direct = runner.run("hop", PipelineMode.BASELINE)
+            direct = runner.run("hop", BASELINE)
             assert runner.cache_hits == 1
         assert folded == direct
 

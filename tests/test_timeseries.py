@@ -5,7 +5,8 @@ import io
 
 import pytest
 
-from repro import GPU, GPUConfig, PipelineMode
+from repro import GPU, GPUConfig
+from repro.techniques import EVR
 from repro.harness import frame_series, write_csv
 from repro.scenes import benchmark_stream
 
@@ -14,7 +15,7 @@ from repro.scenes import benchmark_stream
 def run_result():
     config = GPUConfig.tiny(frames=4)
     stream = benchmark_stream("cde", config)
-    return GPU(config, PipelineMode.EVR).render_stream(stream)
+    return GPU(config, EVR).render_stream(stream)
 
 
 class TestFrameSeries:
